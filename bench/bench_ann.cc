@@ -89,14 +89,22 @@ int main(int argc, char** argv) {
       q_invs[i] = sq > 0.0 ? 1.0 / std::sqrt(sq) : 0.0;
     }
 
+    // Row storage is filled outside the timed build (as an embedding
+    // store's rows exist before its index); both arms index the same
+    // fp32 input.
+    auto fill_rows = [&](ann::RowStore* rows) {
+      for (size_t i = 0; i < n; ++i) {
+        const float* row = data.data() + i * dim;
+        rows->Append(std::vector<float>(row, row + dim));
+      }
+    };
     ann::HnswConfig cfg = ann::ConfigFromEnv();
     cfg.seed = b.seed();
-    ann::HnswIndex index(dim, cfg);
-    std::vector<const float*> rows;
-    rows.reserve(n);
-    for (size_t i = 0; i < n; ++i) rows.push_back(data.data() + i * dim);
+    ann::RowStore rows(dim, nn::kernels::QuantFromEnv());
+    fill_rows(&rows);
+    ann::HnswIndex index(&rows, cfg);
     Timer build_timer;
-    index.Build(rows);
+    index.Build();
     double build_ms = build_timer.Seconds() * 1e3;
 
     // Ground truth once (untimed), then timed exact + ANN query loops.
@@ -148,11 +156,11 @@ int main(int argc, char** argv) {
     // rows. Distance evaluations run on quantized data (4x smaller, SIMD
     // integer dots); recall is still measured against the fp32 ground
     // truth, so quantization error shows up here, not in a side metric.
-    ann::HnswConfig i8cfg = cfg;
-    i8cfg.quant = nn::kernels::Quant::kInt8;
-    ann::HnswIndex index_i8(dim, i8cfg);
+    ann::RowStore rows_i8(dim, nn::kernels::Quant::kInt8);
+    fill_rows(&rows_i8);
+    ann::HnswIndex index_i8(&rows_i8, cfg);
     Timer build_i8_timer;
-    index_i8.Build(rows);
+    index_i8.Build();
     double build_i8_ms = build_i8_timer.Seconds() * 1e3;
     // Timed loop measures the system's actual retrieval contract
     // (EmbeddingStore::AnnNearest): over-fetch a small shortlist from
@@ -200,8 +208,11 @@ int main(int argc, char** argv) {
     double recall_i8 = num_queries ? recall_i8_sum / num_queries : 0.0;
     double qps_int8 = i8_ms > 0.0 ? num_queries / (i8_ms / 1e3) : 0.0;
     double speedup_int8 = i8_ms > 0.0 ? ann_ms / i8_ms : 0.0;
-    double fp32_bytes = static_cast<double>(index.resident_bytes());
-    double int8_bytes = static_cast<double>(index_i8.resident_bytes());
+    // Rows plus graph: what the index path keeps resident per arm.
+    double fp32_bytes =
+        static_cast<double>(rows.resident_bytes() + index.resident_bytes());
+    double int8_bytes = static_cast<double>(rows_i8.resident_bytes() +
+                                            index_i8.resident_bytes());
 
     PrintRow({"metric", "value"});
     PrintRow({"n / dim", FmtInt(n) + " / " + FmtInt(dim)});

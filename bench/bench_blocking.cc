@@ -97,13 +97,11 @@ int main(int argc, char** argv) {
                 {"candidates", static_cast<double>(cands.size())},
                 {"reduction", reduction}});
     }
-    // Quantized kNN arm (DESIGN.md §11): same blocker over an int8
-    // graph. Candidates are a recall set — no rescoring — so this gates
-    // that quantized retrieval keeps pair-completeness.
+    // Quantized kNN arm (DESIGN.md §11): same blocker over int8 rows.
+    // Candidates are a recall set — no rescoring — so this gates that
+    // quantized retrieval keeps pair-completeness.
     {
-      ann::HnswConfig qcfg = ann::ConfigFromEnv();
-      qcfg.quant = nn::kernels::Quant::kInt8;
-      er::AnnBlocker knn(10, qcfg);
+      er::AnnBlocker knn(10, ann::ConfigFromEnv(), nn::kernels::Quant::kInt8);
       auto cands = knn.Candidates(lv, rv);
       double recall = er::PairCompleteness(cands, bench.matches);
       double reduction = er::ReductionRatio(cands.size(), lv.size(), rv.size());

@@ -8,7 +8,6 @@
 #include "src/common/env.h"
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
-#include "src/nn/kernels.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -40,12 +39,6 @@ struct VisitedSet {
 
 thread_local VisitedSet t_visited;
 
-// Per-thread query-conversion scratch for quantized indexes: a search
-// quantizes its query exactly once into these, then every distance
-// evaluation runs on the converted form.
-thread_local std::vector<std::int8_t> t_query_q8;
-thread_local std::vector<std::uint16_t> t_query_bf16;
-
 }  // namespace
 
 HnswConfig ConfigFromEnv() {
@@ -55,14 +48,13 @@ HnswConfig ConfigFromEnv() {
                                     config.ef_construction, 1, 1 << 20);
   config.ef_search =
       EnvSizeT("AUTODC_ANN_EF_SEARCH", config.ef_search, 1, 1 << 20);
-  config.quant = nn::kernels::QuantFromEnv();
   return config;
 }
 
 bool AnnEnvEnabled() { return EnvFlag("AUTODC_ANN", false); }
 
-HnswIndex::HnswIndex(size_t dim, const HnswConfig& config)
-    : dim_(dim), config_(config) {
+HnswIndex::HnswIndex(const RowStore* rows, const HnswConfig& config)
+    : rows_(rows), config_(config) {
   if (config_.M < 2) config_.M = 2;
   if (config_.ef_construction < config_.M) config_.ef_construction = config_.M;
   if (config_.batch_size == 0) config_.batch_size = 1;
@@ -81,115 +73,18 @@ int HnswIndex::LevelFor(size_t id) const {
   return std::min(level, 30);
 }
 
-HnswIndex::QueryView HnswIndex::RowQuery(Id id) const {
-  QueryView q;
-  q.inv = inv_norms_[id];
-  switch (config_.quant) {
-    case nn::kernels::Quant::kFp32:
-      q.f32 = Row(id);
-      break;
-    case nn::kernels::Quant::kInt8:
-    case nn::kernels::Quant::kInt8Sym:
-      q.q8 = Q8Row(id);
-      q.q8_params = q8_params_[id];
-      q.q8_sum = q8_sums_[id];
-      break;
-    case nn::kernels::Quant::kBf16:
-      q.bf16 = Bf16Row(id);
-      break;
-  }
-  return q;
-}
-
-double HnswIndex::SimTo(const QueryView& q, Id id, size_t* evals) const {
-  ++*evals;
-  double dot;
-  switch (config_.quant) {
-    case nn::kernels::Quant::kInt8:
-    case nn::kernels::Quant::kInt8Sym:
-      dot = nn::kernels::DequantDotD(
-          nn::kernels::DotI8I32(q.q8, Q8Row(id), dim_), q.q8_params,
-          q.q8_sum, q8_params_[id], q8_sums_[id], dim_);
-      break;
-    case nn::kernels::Quant::kBf16:
-      dot = nn::kernels::DotBf16D(q.bf16, Bf16Row(id), dim_);
-      break;
-    case nn::kernels::Quant::kFp32:
-    default:
-      dot = nn::kernels::DotF32D(q.f32, Row(id), dim_);
-      break;
-  }
-  return dot * q.inv * inv_norms_[id];
-}
-
-double HnswIndex::SimBetween(Id a, Id b, size_t* evals) const {
-  ++*evals;
-  double dot;
-  switch (config_.quant) {
-    case nn::kernels::Quant::kInt8:
-    case nn::kernels::Quant::kInt8Sym:
-      dot = nn::kernels::DequantDotD(
-          nn::kernels::DotI8I32(Q8Row(a), Q8Row(b), dim_), q8_params_[a],
-          q8_sums_[a], q8_params_[b], q8_sums_[b], dim_);
-      break;
-    case nn::kernels::Quant::kBf16:
-      dot = nn::kernels::DotBf16D(Bf16Row(a), Bf16Row(b), dim_);
-      break;
-    case nn::kernels::Quant::kFp32:
-    default:
-      dot = nn::kernels::DotF32D(Row(a), Row(b), dim_);
-      break;
-  }
-  return dot * inv_norms_[a] * inv_norms_[b];
-}
-
-HnswIndex::Id HnswIndex::AppendRow(const float* v) {
-  Id id = static_cast<Id>(size_);
-  double norm_sq;
-  switch (config_.quant) {
-    case nn::kernels::Quant::kInt8:
-    case nn::kernels::Quant::kInt8Sym: {
-      nn::kernels::Int8Params params = nn::kernels::ComputeInt8Params(
-          v, dim_, config_.quant == nn::kernels::Quant::kInt8Sym);
-      q8_data_.resize(q8_data_.size() + dim_);
-      std::int8_t* row = q8_data_.data() + size_t(id) * dim_;
-      nn::kernels::QuantizeI8F32(v, dim_, params, row);
-      q8_params_.push_back(params);
-      q8_sums_.push_back(nn::kernels::SumI8I32(row, dim_));
-      // Norms come from the dequantized representation so graph sims
-      // use the same geometry the stored rows actually encode.
-      scratch_.resize(dim_);
-      nn::kernels::DequantizeI8F32(row, dim_, params, scratch_.data());
-      norm_sq = nn::kernels::SumSqF32(scratch_.data(), dim_);
-      break;
-    }
-    case nn::kernels::Quant::kBf16: {
-      bf16_data_.resize(bf16_data_.size() + dim_);
-      std::uint16_t* row = bf16_data_.data() + size_t(id) * dim_;
-      nn::kernels::F32ToBf16(v, dim_, row);
-      scratch_.resize(dim_);
-      nn::kernels::Bf16ToF32(row, dim_, scratch_.data());
-      norm_sq = nn::kernels::SumSqF32(scratch_.data(), dim_);
-      break;
-    }
-    case nn::kernels::Quant::kFp32:
-    default:
-      data_.insert(data_.end(), v, v + dim_);
-      norm_sq = nn::kernels::SumSqF32(v, dim_);
-      break;
-  }
-  inv_norms_.push_back(norm_sq > 0.0 ? 1.0 / std::sqrt(norm_sq) : 0.0);
+HnswIndex::Id HnswIndex::AppendNode() {
+  Id id = static_cast<Id>(size());
   int level = LevelFor(id);
   levels_.push_back(level);
   links_.emplace_back(static_cast<size_t>(level) + 1);
   for (int lev = 0; lev <= level; ++lev) {
     links_.back()[lev].reserve((lev == 0 ? 2 * config_.M : config_.M) + 1);
   }
-  ++size_;
   return id;
 }
 
-HnswIndex::Id HnswIndex::GreedyDescend(const QueryView& q, Id entry,
+HnswIndex::Id HnswIndex::GreedyDescend(const RowView& q, Id entry,
                                        int from_level, int to_level,
                                        size_t* evals) const {
   Id cur = entry;
@@ -214,8 +109,7 @@ HnswIndex::Id HnswIndex::GreedyDescend(const QueryView& q, Id entry,
 }
 
 std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(
-    const QueryView& q, Id entry, int level, size_t ef,
-    size_t* evals) const {
+    const RowView& q, Id entry, int level, size_t ef, size_t* evals) const {
   auto closer = [](const Candidate& a, const Candidate& b) {
     return a.sim > b.sim || (a.sim == b.sim && a.id < b.id);
   };
@@ -231,7 +125,7 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(
       results(closer);
 
   VisitedSet& visited = t_visited;
-  visited.Begin(size_);
+  visited.Begin(size());
   visited.TestAndSet(entry);
   Candidate first{SimTo(q, entry, evals), entry};
   frontier.push(first);
@@ -282,7 +176,7 @@ std::vector<HnswIndex::Id> HnswIndex::SelectNeighbors(
     if (out.size() >= m) break;
     bool diverse = true;
     for (Id s : out) {
-      if (SimBetween(c.id, s, evals) > c.sim) {
+      if (SimTo(rows_->Row(c.id), s, evals) > c.sim) {
         diverse = false;
         break;
       }
@@ -302,7 +196,7 @@ std::vector<HnswIndex::Id> HnswIndex::SelectNeighbors(
 HnswIndex::PendingLink HnswIndex::FindCandidates(Id id, size_t* evals) const {
   PendingLink pending;
   if (max_level_ < 0) return pending;  // first node: nothing to search
-  QueryView q = RowQuery(id);
+  RowView q = rows_->Row(id);
   int level = levels_[id];
   int top = std::min(level, max_level_);
   pending.per_level.resize(static_cast<size_t>(top) + 1);
@@ -341,8 +235,9 @@ void HnswIndex::LinkNode(Id id, PendingLink&& pending, size_t* evals) {
       // over fresh similarities (best-first, deterministic tie-break).
       std::vector<Candidate> nb_cands;
       nb_cands.reserve(nb_links.size());
+      RowView nb_row = rows_->Row(nb);
       for (Id other : nb_links) {
-        nb_cands.push_back(Candidate{SimBetween(nb, other, evals), other});
+        nb_cands.push_back(Candidate{SimTo(nb_row, other, evals), other});
       }
       std::sort(nb_cands.begin(), nb_cands.end(),
                 [](const Candidate& a, const Candidate& b) {
@@ -357,9 +252,9 @@ void HnswIndex::LinkNode(Id id, PendingLink&& pending, size_t* evals) {
   }
 }
 
-size_t HnswIndex::Add(const float* v) {
+size_t HnswIndex::Add() {
   size_t evals = 0;
-  Id id = AppendRow(v);
+  Id id = AppendNode();
   PendingLink pending = FindCandidates(id, &evals);
   LinkNode(id, std::move(pending), &evals);
   AUTODC_OBS_INC("ann.inserts");
@@ -367,11 +262,11 @@ size_t HnswIndex::Add(const float* v) {
   return id;
 }
 
-void HnswIndex::Build(const std::vector<const float*>& rows) {
+void HnswIndex::Build() {
   AUTODC_OBS_SPAN(build_span, "ann.build");
-  size_t start = size_;
-  for (const float* v : rows) AppendRow(v);
-  size_t end = size_;
+  size_t start = size();
+  while (size() < rows_->size()) AppendNode();
+  size_t end = size();
 
   // Sequential prefix: grow the graph one node at a time until it is
   // connected enough for frozen-graph batch searches to find good
@@ -410,38 +305,15 @@ void HnswIndex::Build(const std::vector<const float*>& rows) {
 std::vector<ScoredId> HnswIndex::Search(const float* query, size_t k,
                                         size_t ef) const {
   std::vector<ScoredId> out;
-  if (size_ == 0 || k == 0) return out;
+  if (size() == 0 || k == 0) return out;
 #ifndef AUTODC_DISABLE_OBS
   auto t0 = std::chrono::steady_clock::now();
 #endif
   size_t evals = 0;
-  double norm_sq = nn::kernels::SumSqF32(query, dim_);
-  QueryView q;
-  q.inv = norm_sq > 0.0 ? 1.0 / std::sqrt(norm_sq) : 0.0;
-  switch (config_.quant) {
-    case nn::kernels::Quant::kInt8:
-    case nn::kernels::Quant::kInt8Sym: {
-      // Quantize the query once; every graph hop then runs the exact
-      // integer dot against stored rows.
-      t_query_q8.resize(dim_);
-      q.q8_params = nn::kernels::ComputeInt8Params(
-          query, dim_, config_.quant == nn::kernels::Quant::kInt8Sym);
-      nn::kernels::QuantizeI8F32(query, dim_, q.q8_params,
-                                 t_query_q8.data());
-      q.q8 = t_query_q8.data();
-      q.q8_sum = nn::kernels::SumI8I32(t_query_q8.data(), dim_);
-      break;
-    }
-    case nn::kernels::Quant::kBf16:
-      t_query_bf16.resize(dim_);
-      nn::kernels::F32ToBf16(query, dim_, t_query_bf16.data());
-      q.bf16 = t_query_bf16.data();
-      break;
-    case nn::kernels::Quant::kFp32:
-    default:
-      q.f32 = query;
-      break;
-  }
+  // Convert the query once; every graph hop then scores the stored rows
+  // in their own precision.
+  PreparedQuery prepared = rows_->Prepare(query);
+  const RowView& q = prepared.view();
   size_t beam = std::max(ef != 0 ? ef : config_.ef_search, k);
   Id ep = entry_;
   if (max_level_ > 0) {
@@ -473,14 +345,8 @@ size_t HnswIndex::num_edges() const {
 }
 
 size_t HnswIndex::resident_bytes() const {
-  size_t bytes = data_.capacity() * sizeof(float) +
-                 q8_data_.capacity() * sizeof(std::int8_t) +
-                 q8_params_.capacity() * sizeof(nn::kernels::Int8Params) +
-                 q8_sums_.capacity() * sizeof(std::int32_t) +
-                 bf16_data_.capacity() * sizeof(std::uint16_t) +
-                 inv_norms_.capacity() * sizeof(double) +
-                 levels_.capacity() * sizeof(int);
-  bytes += links_.capacity() * sizeof(std::vector<std::vector<Id>>);
+  size_t bytes = levels_.capacity() * sizeof(int) +
+                 links_.capacity() * sizeof(std::vector<std::vector<Id>>);
   for (const auto& node : links_) {
     bytes += node.capacity() * sizeof(std::vector<Id>);
     for (const auto& level : node) bytes += level.capacity() * sizeof(Id);
@@ -489,7 +355,7 @@ size_t HnswIndex::resident_bytes() const {
 }
 
 void HnswIndex::PublishStats() const {
-  AUTODC_OBS_GAUGE_SET("ann.nodes", static_cast<double>(size_));
+  AUTODC_OBS_GAUGE_SET("ann.nodes", static_cast<double>(size()));
   AUTODC_OBS_GAUGE_SET("ann.edges", static_cast<double>(num_edges()));
   AUTODC_OBS_GAUGE_SET("ann.max_level", static_cast<double>(max_level_));
   AUTODC_OBS_GAUGE_SET("ann.bytes", static_cast<double>(resident_bytes()));

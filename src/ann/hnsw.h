@@ -5,14 +5,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/nn/kernels.h"
+#include "src/ann/row_store.h"
 
 // Sub-linear nearest-neighbour retrieval (ROADMAP item 3): an HNSW
-// graph index over dense float vectors, scored by cosine similarity
-// through the SIMD dot kernels with per-row inverse norms cached at
-// insert time. Every retrieval-shaped consumer (LSH/kNN blocking,
-// semantic schema matching, table search, analogy/synthesis lookup)
-// can route through this instead of the O(n·dim) exact scan.
+// graph index over the rows of a borrowed RowStore, scored by cosine
+// similarity through the store's dot dispatch and cached inverse norms.
+// The index holds only the graph, so a store and its index keep one
+// copy of each vector. Every retrieval-shaped consumer (LSH/kNN
+// blocking, semantic schema matching, table search, analogy/synthesis
+// lookup) can route through this instead of the O(n·dim) exact scan.
 //
 // Determinism contract: a node's level depends only on (seed, node id),
 // never on insertion order or thread count. Bulk builds insert a
@@ -20,7 +21,7 @@
 // each batch searches the FROZEN pre-batch graph for candidate
 // neighbours in parallel (pure reads), and links serially in id order.
 // Chunking never feeds back into results, so an index built from the
-// same (vectors, config) is identical for any thread count, and
+// same (rows, config) is identical for any thread count, and
 // searches over it are reproducible bit-for-bit.
 namespace autodc::ann {
 
@@ -40,19 +41,13 @@ struct HnswConfig {
   /// Nodes inserted strictly one-by-one before batching starts, so
   /// early batches search a well-connected graph.
   size_t sequential_prefix = 1024;
-  /// Row storage precision (DESIGN.md §11). Below fp32 every graph
-  /// distance evaluation runs on the quantized rows (int8: exact
-  /// integer dot + cached per-row scale/zero-point/sum; bf16: float dot
-  /// on rounded values); similarities returned by Search are then the
-  /// quantized-row cosines, and retrieval-quality consumers re-score
-  /// their top-k in fp32 (EmbeddingStore does this automatically).
-  nn::kernels::Quant quant = nn::kernels::Quant::kFp32;
 };
 
 /// HnswConfig with M / ef_construction / ef_search overridden by
 /// AUTODC_ANN_M / AUTODC_ANN_EF_CONSTRUCTION / AUTODC_ANN_EF_SEARCH
 /// (range-checked; out-of-range values warn and keep the default, per
-/// the env.h contract), and quant by AUTODC_EMB_QUANT.
+/// the env.h contract). Row precision is the RowStore's, which callers
+/// resolve with nn::kernels::QuantFromEnv().
 HnswConfig ConfigFromEnv();
 
 /// True when AUTODC_ANN requests the index path (flag semantics of
@@ -67,34 +62,44 @@ struct ScoredId {
 
 class HnswIndex {
  public:
-  explicit HnswIndex(size_t dim, const HnswConfig& config = {});
+  /// A graph over `rows`, which must outlive the index (or be re-pointed
+  /// with set_rows when its owner moves). Index ids are row ids: the
+  /// graph links rows 0..size()-1 of the store.
+  explicit HnswIndex(const RowStore* rows, const HnswConfig& config = {});
 
-  /// Incremental insert (the streaming-arc path): links one vector of
-  /// dim() floats into the graph and returns its id. Not thread-safe;
-  /// callers serialize Add against Add/Build/Search.
-  size_t Add(const float* v);
+  /// Incremental insert (the streaming-arc path): links stored row
+  /// size() — the first row not yet in the graph — and returns its id.
+  /// Not thread-safe; callers serialize Add against Add/Build/Search.
+  size_t Add();
 
-  /// Bulk append: inserts every row (each dim() floats) with the
+  /// Bulk insert: links every stored row past size() with the
   /// batched-parallel scheme described above. Equivalent to calling
   /// Add per row when the graph stays within sequential_prefix.
-  void Build(const std::vector<const float*>& rows);
+  void Build();
 
   /// Top-k by cosine similarity, best first (ties broken by lower id).
-  /// `ef` overrides config().ef_search when nonzero; the effective beam
-  /// is always at least k. Read-only and safe to call concurrently
-  /// from many threads once construction is done.
+  /// `query` holds the row store's dim() floats and is converted to
+  /// the row precision once. `ef` overrides config().ef_search when
+  /// nonzero; the effective beam is always at least k. Read-only and
+  /// safe to call concurrently from many threads once construction is
+  /// done.
+  /// Below fp32 the similarities are quantized-row cosines; callers
+  /// that need exact scores re-score their top-k in fp32
+  /// (EmbeddingStore does this automatically).
   std::vector<ScoredId> Search(const float* query, size_t k,
                                size_t ef = 0) const;
 
-  size_t size() const { return size_; }
-  size_t dim() const { return dim_; }
+  size_t size() const { return levels_.size(); }
+  /// Re-points the index at `rows` after the store holding its rows
+  /// moved; the rows must be the same ones the graph was built over.
+  void set_rows(const RowStore* rows) { rows_ = rows; }
   const HnswConfig& config() const { return config_; }
   /// Highest populated level (-1 while empty).
   int max_level() const { return max_level_; }
   /// Directed edge count over all levels (O(n) walk; used by gauges).
   size_t num_edges() const;
-  /// Heap bytes held by row storage + graph structure (O(n) walk; the
-  /// memory half of the quantization bench gate).
+  /// Heap bytes held by the graph structure (O(n) walk). Row bytes are
+  /// the RowStore's (RowStore::resident_bytes).
   size_t resident_bytes() const;
 
   /// Publishes ann.nodes / ann.edges / ann.max_level / ann.bytes gauges.
@@ -117,41 +122,20 @@ class HnswIndex {
     std::vector<std::vector<Candidate>> per_level;  // [level] best-first
   };
 
-  /// A query in whatever representation the index's storage mode
-  /// scores against, plus the fp32 inverse norm. Built once per search
-  /// (quantizing the query a single time) or borrowed from a stored
-  /// row during construction.
-  struct QueryView {
-    const float* f32 = nullptr;
-    const std::int8_t* q8 = nullptr;
-    nn::kernels::Int8Params q8_params;
-    std::int32_t q8_sum = 0;
-    const std::uint16_t* bf16 = nullptr;
-    double inv = 0.0;  // 1/|q| (0 for zero-norm queries)
-  };
-
   int LevelFor(size_t id) const;
-  const float* Row(Id id) const { return data_.data() + size_t(id) * dim_; }
-  const std::int8_t* Q8Row(Id id) const {
-    return q8_data_.data() + size_t(id) * dim_;
+  double SimTo(const RowView& q, Id id, size_t* evals) const {
+    ++*evals;
+    return rows_->Cosine(q, id);
   }
-  const std::uint16_t* Bf16Row(Id id) const {
-    return bf16_data_.data() + size_t(id) * dim_;
-  }
-  /// QueryView borrowing stored row `id` (cached params, no conversion).
-  QueryView RowQuery(Id id) const;
-  double SimTo(const QueryView& q, Id id, size_t* evals) const;
-  double SimBetween(Id a, Id b, size_t* evals) const;
 
-  /// Appends the raw vector (data in the configured precision, inverse
-  /// norm of the stored representation, level, empty links).
-  Id AppendRow(const float* v);
+  /// Adds graph state (level, empty links) for the next stored row.
+  Id AppendNode();
   /// Greedy single-entry descent from `from_level` down to just above
   /// `to_level`.
-  Id GreedyDescend(const QueryView& q, Id entry, int from_level,
-                   int to_level, size_t* evals) const;
+  Id GreedyDescend(const RowView& q, Id entry, int from_level, int to_level,
+                   size_t* evals) const;
   /// Beam search at one level; returns up to ef candidates, best first.
-  std::vector<Candidate> SearchLayer(const QueryView& q, Id entry, int level,
+  std::vector<Candidate> SearchLayer(const RowView& q, Id entry, int level,
                                      size_t ef, size_t* evals) const;
   /// The select-neighbours diversity heuristic (HNSW Algorithm 4), with
   /// pruned-candidate backfill to keep degrees full.
@@ -164,20 +148,9 @@ class HnswIndex {
   /// prunes over-full neighbours, and updates the entry point.
   void LinkNode(Id id, PendingLink&& pending, size_t* evals);
 
-  size_t dim_;
+  const RowStore* rows_;
   HnswConfig config_;
   double level_mult_;  // 1 / ln(M)
-  size_t size_ = 0;
-
-  // Row storage: exactly one of data_ / q8_data_ / bf16_data_ is
-  // populated, per config_.quant.
-  std::vector<float> data_;            // fp32: size_ * dim_, row-major
-  std::vector<std::int8_t> q8_data_;   // int8: size_ * dim_, row-major
-  std::vector<nn::kernels::Int8Params> q8_params_;  // int8: per row
-  std::vector<std::int32_t> q8_sums_;  // int8: per-row element sums
-  std::vector<std::uint16_t> bf16_data_;  // bf16: size_ * dim_
-  std::vector<float> scratch_;     // serial-phase dequant scratch
-  std::vector<double> inv_norms_;  // 1/|v| of the STORED representation
   std::vector<int> levels_;
   /// links_[node][level] -> neighbour ids (level 0 capped at 2M, else M).
   std::vector<std::vector<std::vector<Id>>> links_;

@@ -57,21 +57,22 @@ void TableSearchEngine::Index(const std::vector<const data::Table*>& tables) {
     table_tfidf_.push_back(tfidf_.Transform(doc));
   }
   ann_.reset();
+  ann_rows_.reset();
   size_t dim = words_->dim();
   if (config_.use_ann && dim > 0 &&
       table_vectors_.size() >= config_.ann_min_tables) {
     AUTODC_OBS_SPAN(index_span, "search.ann_index");
-    ann_ = std::make_unique<ann::HnswIndex>(dim, config_.ann_config);
-    std::vector<const float*> rows;
-    rows.reserve(table_vectors_.size());
+    ann_rows_ =
+        std::make_unique<ann::RowStore>(dim, nn::kernels::QuantFromEnv());
     // Odd-width vectors (dim-0 store rows, schema glitches) get a zero
     // row so index ids stay aligned with table positions; they score 0
     // everywhere, matching the exact path's mismatch handling.
-    std::vector<float> zero(dim, 0.0f);
     for (const std::vector<float>& v : table_vectors_) {
-      rows.push_back(v.size() == dim ? v.data() : zero.data());
+      ann_rows_->Append(v.size() == dim ? v : std::vector<float>(dim, 0.0f));
     }
-    ann_->Build(rows);
+    ann_ = std::make_unique<ann::HnswIndex>(ann_rows_.get(),
+                                            config_.ann_config);
+    ann_->Build();
   }
 }
 
@@ -99,7 +100,7 @@ std::vector<SearchResult> TableSearchEngine::Search(
   };
 
   std::vector<SearchResult> out;
-  if (ann_ && qnorm_sq > 0.0 && qvec.size() == ann_->dim()) {
+  if (ann_ && qnorm_sq > 0.0 && qvec.size() == ann_rows_->dim()) {
     // Sub-linear path: neural top candidates from the graph, lexical
     // scored only on those. Over-fetch so a table whose hybrid score is
     // carried by the lexical term still has a seat at the table.

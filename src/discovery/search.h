@@ -34,11 +34,12 @@ struct SearchConfig {
   /// Lakes smaller than this always take the exact scan.
   size_t ann_min_tables = 64;
   size_t ann_overfetch = 4;
-  /// Graph parameters for the ANN index (M / ef_* / quant). Defaults
-  /// pick up AUTODC_ANN_M, AUTODC_ANN_EF_CONSTRUCTION,
-  /// AUTODC_ANN_EF_SEARCH and AUTODC_EMB_QUANT from the environment;
-  /// candidates are re-scored by the hybrid ranker either way, so a
-  /// quantized index only affects which tables make the shortlist.
+  /// Graph parameters for the ANN index (M / ef_*). Defaults pick up
+  /// AUTODC_ANN_M, AUTODC_ANN_EF_CONSTRUCTION and AUTODC_ANN_EF_SEARCH
+  /// from the environment; the indexed rows take AUTODC_EMB_QUANT's
+  /// precision. Candidates are re-scored by the hybrid ranker either
+  /// way, so a quantized index only affects which tables make the
+  /// shortlist.
   ann::HnswConfig ann_config = ann::ConfigFromEnv();
 };
 
@@ -77,8 +78,11 @@ class TableSearchEngine {
   std::vector<double> table_norms_sq_;
   std::vector<std::unordered_map<size_t, double>> table_tfidf_;
   text::TfIdf tfidf_;
-  /// Built by Index() in ANN mode over table_vectors_ (ids == table
-  /// positions); null in exact mode. Makes the engine move-only.
+  /// Built by Index() in ANN mode: the table vectors at the
+  /// AUTODC_EMB_QUANT precision and a graph over them (ids == table
+  /// positions); null in exact mode. Heap-held so the graph's borrowed
+  /// rows stay put when the engine moves; makes the engine move-only.
+  std::unique_ptr<ann::RowStore> ann_rows_;
   std::unique_ptr<ann::HnswIndex> ann_;
 };
 

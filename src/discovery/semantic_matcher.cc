@@ -168,16 +168,13 @@ std::vector<ColumnMatch> SemanticColumnMatcher::MatchLake(
           }
         }
         centroids[idx] = words_->AverageOf(toks);
+        if (centroids[idx].size() != dim) centroids[idx].assign(dim, 0.0f);
       }
     });
-    ann::HnswIndex index(dim, config_.ann_config);
-    std::vector<const float*> rows;
-    rows.reserve(cols.size());
-    std::vector<float> zero(dim, 0.0f);
-    for (const std::vector<float>& c : centroids) {
-      rows.push_back(c.size() == dim ? c.data() : zero.data());
-    }
-    index.Build(rows);
+    ann::RowStore rows(dim, nn::kernels::QuantFromEnv());
+    for (const std::vector<float>& c : centroids) rows.Append(c);
+    ann::HnswIndex index(&rows, config_.ann_config);
+    index.Build();
     // Every column proposes its nearest columns; cross-table hits become
     // candidate pairs. Queries are read-only and run in parallel with
     // per-column slots; the ordered-set merge canonicalizes each pair to
@@ -187,7 +184,8 @@ std::vector<ColumnMatch> SemanticColumnMatcher::MatchLake(
     std::vector<std::vector<size_t>> hits(cols.size());
     ParallelFor(0, cols.size(), 8, [&](size_t b, size_t e) {
       for (size_t idx = b; idx < e; ++idx) {
-        for (const ann::ScoredId& hit : index.Search(rows[idx], fetch)) {
+        for (const ann::ScoredId& hit :
+             index.Search(centroids[idx].data(), fetch)) {
           if (hit.id != idx) hits[idx].push_back(hit.id);
         }
       }

@@ -59,11 +59,11 @@ struct SemanticMatcherConfig {
   size_t ann_min_columns = 64;
   /// Neighbour columns retrieved per column in ANN mode.
   size_t ann_candidates = 8;
-  /// Graph parameters for the centroid index (M / ef_* / quant).
-  /// Defaults pick up AUTODC_ANN_M, AUTODC_ANN_EF_CONSTRUCTION,
-  /// AUTODC_ANN_EF_SEARCH and AUTODC_EMB_QUANT; proposed pairs are
-  /// always scored exactly afterwards, so a quantized index only
-  /// affects candidate proposal.
+  /// Graph parameters for the centroid index (M / ef_*). Defaults pick
+  /// up AUTODC_ANN_M, AUTODC_ANN_EF_CONSTRUCTION and
+  /// AUTODC_ANN_EF_SEARCH; the centroids take AUTODC_EMB_QUANT's
+  /// precision. Proposed pairs are always scored exactly afterwards, so
+  /// a quantized index only affects candidate proposal.
   ann::HnswConfig ann_config = ann::ConfigFromEnv();
 };
 

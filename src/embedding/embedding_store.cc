@@ -88,32 +88,16 @@ EmbeddingStore::~EmbeddingStore() {
 }
 
 EmbeddingStore::EmbeddingStore(const EmbeddingStore& other)
-    : dim_(other.dim_),
-      quant_(other.quant_),
-      index_(other.index_),
-      keys_(other.keys_),
-      vectors_(other.vectors_),
-      q8_data_(other.q8_data_),
-      q8_params_(other.q8_params_),
-      q8_sums_(other.q8_sums_),
-      bf16_data_(other.bf16_data_),
-      norms_sq_(other.norms_sq_) {
+    : rows_(other.rows_), index_(other.index_), keys_(other.keys_) {
   // The dequant cache is not copied: it rebuilds on demand like the ANN
   // index.
 }
 
 EmbeddingStore& EmbeddingStore::operator=(const EmbeddingStore& other) {
   if (this == &other) return *this;
-  dim_ = other.dim_;
-  quant_ = other.quant_;
+  rows_ = other.rows_;
   index_ = other.index_;
   keys_ = other.keys_;
-  vectors_ = other.vectors_;
-  q8_data_ = other.q8_data_;
-  q8_params_ = other.q8_params_;
-  q8_sums_ = other.q8_sums_;
-  bf16_data_ = other.bf16_data_;
-  norms_sq_ = other.norms_sq_;
   {
     std::lock_guard<std::mutex> lock(dequant_mu_);
     dequant_cache_.clear();
@@ -123,63 +107,51 @@ EmbeddingStore& EmbeddingStore::operator=(const EmbeddingStore& other) {
 }
 
 EmbeddingStore::EmbeddingStore(EmbeddingStore&& other) noexcept
-    : dim_(other.dim_),
-      quant_(other.quant_),
+    : rows_(std::move(other.rows_)),
       index_(std::move(other.index_)),
       keys_(std::move(other.keys_)),
-      vectors_(std::move(other.vectors_)),
-      q8_data_(std::move(other.q8_data_)),
-      q8_params_(std::move(other.q8_params_)),
-      q8_sums_(std::move(other.q8_sums_)),
-      bf16_data_(std::move(other.bf16_data_)),
-      norms_sq_(std::move(other.norms_sq_)),
       dequant_cache_(std::move(other.dequant_cache_)) {
-  ann_.store(other.ann_.exchange(nullptr), std::memory_order_release);
+  AnnState* st = other.ann_.exchange(nullptr);
+  // The graph borrows its rows, which now live here.
+  if (st != nullptr) st->index->set_rows(&rows_);
+  ann_.store(st, std::memory_order_release);
 }
 
 EmbeddingStore& EmbeddingStore::operator=(EmbeddingStore&& other) noexcept {
   if (this == &other) return *this;
-  dim_ = other.dim_;
-  quant_ = other.quant_;
+  rows_ = std::move(other.rows_);
   index_ = std::move(other.index_);
   keys_ = std::move(other.keys_);
-  vectors_ = std::move(other.vectors_);
-  q8_data_ = std::move(other.q8_data_);
-  q8_params_ = std::move(other.q8_params_);
-  q8_sums_ = std::move(other.q8_sums_);
-  bf16_data_ = std::move(other.bf16_data_);
-  norms_sq_ = std::move(other.norms_sq_);
   {
     std::lock_guard<std::mutex> lock(dequant_mu_);
     dequant_cache_ = std::move(other.dequant_cache_);
   }
-  delete ann_.exchange(other.ann_.exchange(nullptr),
-                       std::memory_order_acq_rel);
+  AnnState* st = other.ann_.exchange(nullptr);
+  if (st != nullptr) st->index->set_rows(&rows_);
+  delete ann_.exchange(st, std::memory_order_acq_rel);
   return *this;
 }
 
 Status EmbeddingStore::Add(const std::string& key, std::vector<float> vector) {
-  if (dim_ == 0) dim_ = vector.size();
-  if (vector.size() != dim_) {
+  if (rows_.dim() == 0 && rows_.size() == 0) {
+    rows_ = ann::RowStore(vector.size(), rows_.quant());
+  }
+  if (vector.size() != dim()) {
     return Status::InvalidArgument(
         "vector for '" + key + "' has dim " + std::to_string(vector.size()) +
-        ", store dim is " + std::to_string(dim_));
+        ", store dim is " + std::to_string(dim()));
   }
-  const bool fp32 = quant_ == nn::kernels::Quant::kFp32;
   auto it = index_.find(key);
   if (it != index_.end()) {
     size_t id = it->second;
-    if (fp32) {
-      norms_sq_[id] = nn::kernels::SumSqF32(vector.data(), vector.size());
-      vectors_[id] = std::move(vector);
-    } else {
-      norms_sq_[id] = WriteQuantRow(id, vector.data());
+    rows_.Set(id, std::move(vector));
+    if (quant() != nn::kernels::Quant::kFp32) {
       // Refresh a cached dequant row in place so pointers handed out by
       // Find() keep tracking the key's latest value (fp32 semantics).
       std::lock_guard<std::mutex> lock(dequant_mu_);
       auto cached = dequant_cache_.find(id);
       if (cached != dequant_cache_.end()) {
-        RowToF32(id, cached->second.data());
+        rows_.ToF32(id, cached->second.data());
       }
     }
     // The graph still points at the old geometry; exact fallback until
@@ -187,28 +159,13 @@ Status EmbeddingStore::Add(const std::string& key, std::vector<float> vector) {
     if (AnnState* st = ann_.load(std::memory_order_acquire)) st->stale = true;
     return Status::OK();
   }
-  size_t id = keys_.size();
-  index_.emplace(key, id);
+  index_.emplace(key, keys_.size());
   keys_.push_back(key);
-  if (fp32) {
-    norms_sq_.push_back(nn::kernels::SumSqF32(vector.data(), vector.size()));
-    vectors_.push_back(std::move(vector));
-  } else {
-    norms_sq_.push_back(WriteQuantRow(id, vector.data()));
-  }
+  rows_.Append(std::move(vector));
   if (AnnState* st = ann_.load(std::memory_order_acquire)) {
-    // Streaming path: new keys index as they arrive (row id == index id).
-    // The index re-quantizes from fp32, so quantized stores hand it the
-    // dequantized row (same values the store itself scores against).
-    if (!st->stale) {
-      if (fp32) {
-        st->index->Add(vectors_.back().data());
-      } else {
-        scratch_.resize(dim_);
-        RowToF32(id, scratch_.data());
-        st->index->Add(scratch_.data());
-      }
-    }
+    // Streaming path: the new row is linked into the graph as it arrives
+    // (row id == index id), straight from the stored representation.
+    if (!st->stale) st->index->Add();
   }
   return Status::OK();
 }
@@ -216,97 +173,28 @@ Status EmbeddingStore::Add(const std::string& key, std::vector<float> vector) {
 const std::vector<float>* EmbeddingStore::Find(const std::string& key) const {
   auto it = index_.find(key);
   if (it == index_.end()) return nullptr;
-  if (quant_ == nn::kernels::Quant::kFp32) return &vectors_[it->second];
+  if (quant() == nn::kernels::Quant::kFp32) return &rows_.F32Row(it->second);
   // Quantized stores have no fp32 rows to point at; dequantize into the
   // per-row cache (node-based map: mapped vectors stay stable across
   // rehash, and Add() refreshes entries in place on overwrite).
   std::lock_guard<std::mutex> lock(dequant_mu_);
   auto [entry, inserted] = dequant_cache_.try_emplace(it->second);
   if (inserted) {
-    entry->second.resize(dim_);
-    RowToF32(it->second, entry->second.data());
+    entry->second.resize(dim());
+    rows_.ToF32(it->second, entry->second.data());
   }
   return &entry->second;
-}
-
-void EmbeddingStore::RowToF32(size_t id, float* out) const {
-  switch (quant_) {
-    case nn::kernels::Quant::kFp32:
-      std::copy(vectors_[id].begin(), vectors_[id].end(), out);
-      break;
-    case nn::kernels::Quant::kInt8:
-    case nn::kernels::Quant::kInt8Sym:
-      nn::kernels::DequantizeI8F32(q8_data_.data() + id * dim_, dim_,
-                                   q8_params_[id], out);
-      break;
-    case nn::kernels::Quant::kBf16:
-      nn::kernels::Bf16ToF32(bf16_data_.data() + id * dim_, dim_, out);
-      break;
-  }
-}
-
-double EmbeddingStore::WriteQuantRow(size_t id, const float* v) {
-  switch (quant_) {
-    case nn::kernels::Quant::kFp32:
-      break;  // unreachable: fp32 rows go through vectors_
-    case nn::kernels::Quant::kInt8:
-    case nn::kernels::Quant::kInt8Sym: {
-      if (q8_data_.size() < (id + 1) * dim_) {
-        q8_data_.resize((id + 1) * dim_);
-        q8_params_.resize(id + 1);
-        q8_sums_.resize(id + 1);
-      }
-      nn::kernels::Int8Params p = nn::kernels::ComputeInt8Params(
-          v, dim_, quant_ == nn::kernels::Quant::kInt8Sym);
-      std::int8_t* row = q8_data_.data() + id * dim_;
-      nn::kernels::QuantizeI8F32(v, dim_, p, row);
-      q8_params_[id] = p;
-      q8_sums_[id] = nn::kernels::SumI8I32(row, dim_);
-      break;
-    }
-    case nn::kernels::Quant::kBf16:
-      if (bf16_data_.size() < (id + 1) * dim_) {
-        bf16_data_.resize((id + 1) * dim_);
-      }
-      nn::kernels::F32ToBf16(v, dim_, bf16_data_.data() + id * dim_);
-      break;
-  }
-  // Norms come from the stored (dequantized) representation so ranking
-  // and rescoring share the geometry the rows actually encode.
-  scratch_.resize(dim_);
-  RowToF32(id, scratch_.data());
-  return nn::kernels::SumSqF32(scratch_.data(), dim_);
 }
 
 double EmbeddingStore::RescoredSim(const float* query, double query_norm,
                                    size_t id,
                                    std::vector<float>& scratch) const {
-  if (query_norm <= 0.0 || norms_sq_[id] <= 0.0) return 0.0;
-  const float* row;
-  if (quant_ == nn::kernels::Quant::kFp32) {
-    row = vectors_[id].data();
-  } else {
-    scratch.resize(dim_);
-    RowToF32(id, scratch.data());
-    row = scratch.data();
-  }
-  double dot = nn::kernels::DotF32D(query, row, dim_);
-  return dot / (query_norm * std::sqrt(norms_sq_[id]));
+  if (query_norm <= 0.0 || rows_.norm_sq(id) <= 0.0) return 0.0;
+  double dot = nn::kernels::DotF32D(query, rows_.F32(id, &scratch), dim());
+  return dot / (query_norm * std::sqrt(rows_.norm_sq(id)));
 }
 
-size_t EmbeddingStore::ResidentBytes() const {
-  size_t bytes = norms_sq_.capacity() * sizeof(double);
-  if (quant_ == nn::kernels::Quant::kFp32) {
-    bytes += vectors_.capacity() * sizeof(std::vector<float>);
-    for (const auto& v : vectors_) bytes += v.capacity() * sizeof(float);
-  } else {
-    bytes += q8_data_.capacity() * sizeof(std::int8_t);
-    bytes += q8_params_.capacity() * sizeof(nn::kernels::Int8Params);
-    bytes += q8_sums_.capacity() * sizeof(std::int32_t);
-    bytes += bf16_data_.capacity() * sizeof(std::uint16_t);
-  }
-  return bytes;
-}
+size_t EmbeddingStore::ResidentBytes() const { return rows_.resident_bytes(); }
 
 std::vector<Neighbor> EmbeddingStore::ExactNearest(
     const std::vector<float>& query, size_t k,
@@ -315,7 +203,7 @@ std::vector<Neighbor> EmbeddingStore::ExactNearest(
   // cached, so each candidate costs one dot product. A dimension
   // mismatch scores 0, matching CosineSimilarity on unequal sizes.
   double query_norm_sq =
-      query.size() == dim_
+      query.size() == dim()
           ? nn::kernels::SumSqF32(query.data(), query.size())
           : -1.0;
   double query_norm =
@@ -326,46 +214,18 @@ std::vector<Neighbor> EmbeddingStore::ExactNearest(
   // re-score a shortlist in fp32 below; the shortlist over-fetch absorbs
   // quantization-induced rank swaps near the top-k boundary. The query
   // is converted once, outside the row loop.
-  const bool quantized = quant_ != nn::kernels::Quant::kFp32;
-  const bool int8 = nn::kernels::QuantIsInt8(quant_);
-  std::vector<std::int8_t> query_q8;
-  nn::kernels::Int8Params query_q8_params;
-  std::int32_t query_q8_sum = 0;
-  std::vector<std::uint16_t> query_bf16;
-  if (quantized && query_norm > 0.0) {
-    if (int8) {
-      query_q8.resize(dim_);
-      query_q8_params = nn::kernels::ComputeInt8Params(
-          query.data(), dim_, quant_ == nn::kernels::Quant::kInt8Sym);
-      nn::kernels::QuantizeI8F32(query.data(), dim_, query_q8_params,
-                                 query_q8.data());
-      query_q8_sum = nn::kernels::SumI8I32(query_q8.data(), dim_);
-    } else {
-      query_bf16.resize(dim_);
-      nn::kernels::F32ToBf16(query.data(), dim_, query_bf16.data());
-    }
-  }
+  const bool quantized = quant() != nn::kernels::Quant::kFp32;
+  ann::PreparedQuery prepared;
+  if (query_norm > 0.0) prepared = rows_.Prepare(query.data());
+  const ann::RowView& q = prepared.view();
   size_t shortlist = quantized ? std::min(n, k + std::max(k, size_t{8})) : k;
 
   auto scan = [&](size_t begin, size_t end, TopK* top) {
     for (size_t i = begin; i < end; ++i) {
       if (IsExcluded(exclude_ids, i)) continue;
       double sim = 0.0;
-      if (query_norm_sq > 0.0 && norms_sq_[i] > 0.0) {
-        double dot;
-        if (!quantized) {
-          dot = nn::kernels::DotF32D(query.data(), vectors_[i].data(), dim_);
-        } else if (int8) {
-          const std::int8_t* row = q8_data_.data() + i * dim_;
-          dot = nn::kernels::DequantDotD(
-              nn::kernels::DotI8I32(query_q8.data(), row, dim_),
-              query_q8_params, query_q8_sum, q8_params_[i], q8_sums_[i],
-              dim_);
-        } else {
-          dot = nn::kernels::DotBf16D(query_bf16.data(),
-                                      bf16_data_.data() + i * dim_, dim_);
-        }
-        sim = dot / (query_norm * std::sqrt(norms_sq_[i]));
+      if (query_norm_sq > 0.0 && rows_.norm_sq(i) > 0.0) {
+        sim = rows_.Dot(q, i) / (query_norm * std::sqrt(rows_.norm_sq(i)));
       }
       top->Push(sim, i);
     }
@@ -416,14 +276,14 @@ std::vector<Neighbor> EmbeddingStore::AnnNearest(
     const std::vector<size_t>& exclude_ids) const {
   // Degenerate queries (dim mismatch, zero norm) have no graph
   // geometry to navigate; keep the exact path's semantics for them.
-  if (query.size() != dim_) return ExactNearest(query, k, exclude_ids);
+  if (query.size() != dim()) return ExactNearest(query, k, exclude_ids);
   double query_norm_sq = nn::kernels::SumSqF32(query.data(), query.size());
   if (query_norm_sq <= 0.0) return ExactNearest(query, k, exclude_ids);
 
   const AnnState* st = ann_.load(std::memory_order_acquire);
   // Quantized graphs over-fetch a little so fp32 rescoring can repair
   // rank swaps the quantized distances introduced near the boundary.
-  size_t extra = quant_ != nn::kernels::Quant::kFp32 ? 8 : 0;
+  size_t extra = quant() != nn::kernels::Quant::kFp32 ? 8 : 0;
   std::vector<ann::ScoredId> hits =
       st->index->Search(query.data(), k + exclude_ids.size() + extra);
 
@@ -472,34 +332,15 @@ bool EmbeddingStore::UseAnnFor(size_t k, size_t num_excluded) const {
 }
 
 Status EmbeddingStore::BuildAnn(const ann::HnswConfig& config) const {
-  if (dim_ == 0) {
+  if (dim() == 0) {
     return Status::FailedPrecondition(
         "cannot build ANN index: store dimensionality unknown (empty store "
         "constructed without a dim)");
   }
   auto st = std::make_unique<AnnState>();
-  // A quantized store defaults the index to the same precision (an
-  // explicit non-fp32 config choice wins). The index re-quantizes from
-  // fp32 on insert, so quantized rows are dequantized into a transient
-  // dense matrix for the build.
-  ann::HnswConfig cfg = config;
-  if (cfg.quant == nn::kernels::Quant::kFp32) cfg.quant = quant_;
-  st->config = cfg;
-  st->index = std::make_unique<ann::HnswIndex>(dim_, cfg);
-  size_t n = keys_.size();
-  std::vector<const float*> rows;
-  rows.reserve(n);
-  std::vector<float> dense;
-  if (quant_ == nn::kernels::Quant::kFp32) {
-    for (const std::vector<float>& v : vectors_) rows.push_back(v.data());
-  } else {
-    dense.resize(n * dim_);
-    for (size_t i = 0; i < n; ++i) {
-      RowToF32(i, dense.data() + i * dim_);
-      rows.push_back(dense.data() + i * dim_);
-    }
-  }
-  st->index->Build(rows);
+  st->config = config;
+  st->index = std::make_unique<ann::HnswIndex>(&rows_, config);
+  st->index->Build();
   delete ann_.exchange(st.release(), std::memory_order_acq_rel);
   AUTODC_OBS_GAUGE_SET("embedding.store.bytes",
                        static_cast<int64_t>(ResidentBytes()));
@@ -561,12 +402,10 @@ Result<std::vector<Neighbor>> EmbeddingStore::Nearest(const std::string& key,
   if (it == index_.end()) {
     return Status::NotFound("no embedding for '" + key + "'");
   }
-  if (quant_ == nn::kernels::Quant::kFp32) {
-    return NearestToVector(vectors_[it->second], k, {key});
-  }
-  // A local dequant avoids growing the Find() cache for a transient use.
-  std::vector<float> q(dim_);
-  RowToF32(it->second, q.data());
+  // A local fp32 copy (dequantized below fp32) avoids growing the Find()
+  // cache for a transient use.
+  std::vector<float> q(dim());
+  rows_.ToF32(it->second, q.data());
   return NearestToVector(q, k, {key});
 }
 
@@ -580,23 +419,7 @@ Result<double> EmbeddingStore::Similarity(const std::string& a,
   if (ib == index_.end()) {
     return Status::NotFound("no embedding for '" + b + "'");
   }
-  size_t id_a = ia->second, id_b = ib->second;
-  switch (quant_) {
-    case nn::kernels::Quant::kFp32:
-      return text::CosineSimilarity(vectors_[id_a], vectors_[id_b]);
-    case nn::kernels::Quant::kInt8:
-    case nn::kernels::Quant::kInt8Sym:
-      // Fused quantized cosine: exact integer dot + dequant algebra, no
-      // fp32 materialization.
-      return static_cast<double>(nn::kernels::CosineI8(
-          q8_data_.data() + id_a * dim_, q8_params_[id_a],
-          q8_data_.data() + id_b * dim_, q8_params_[id_b], dim_));
-    case nn::kernels::Quant::kBf16:
-      return static_cast<double>(nn::kernels::CosineBf16(
-          bf16_data_.data() + id_a * dim_, bf16_data_.data() + id_b * dim_,
-          dim_));
-  }
-  return 0.0;  // unreachable
+  return rows_.CosineBetween(ia->second, ib->second);
 }
 
 Result<std::vector<Neighbor>> EmbeddingStore::Analogy(const std::string& a,
@@ -609,27 +432,12 @@ Result<std::vector<Neighbor>> EmbeddingStore::Analogy(const std::string& a,
   if (ia == index_.end() || ib == index_.end() || ic == index_.end()) {
     return Status::NotFound("analogy term missing from store");
   }
-  const float* pa;
-  const float* pb;
-  const float* pc;
   std::vector<float> ta, tb, tc;
-  if (quant_ == nn::kernels::Quant::kFp32) {
-    pa = vectors_[ia->second].data();
-    pb = vectors_[ib->second].data();
-    pc = vectors_[ic->second].data();
-  } else {
-    ta.resize(dim_);
-    tb.resize(dim_);
-    tc.resize(dim_);
-    RowToF32(ia->second, ta.data());
-    RowToF32(ib->second, tb.data());
-    RowToF32(ic->second, tc.data());
-    pa = ta.data();
-    pb = tb.data();
-    pc = tc.data();
-  }
-  std::vector<float> q(dim_);
-  for (size_t i = 0; i < dim_; ++i) {
+  const float* pa = rows_.F32(ia->second, &ta);
+  const float* pb = rows_.F32(ib->second, &tb);
+  const float* pc = rows_.F32(ic->second, &tc);
+  std::vector<float> q(dim());
+  for (size_t i = 0; i < q.size(); ++i) {
     q[i] = pb[i] - pa[i] + pc[i];
   }
   return NearestToVector(q, k, {a, b, c});
@@ -637,61 +445,38 @@ Result<std::vector<Neighbor>> EmbeddingStore::Analogy(const std::string& a,
 
 void EmbeddingStore::CenterAndNormalize() {
   size_t n = keys_.size();
-  if (n == 0 || dim_ == 0) return;
-  if (quant_ == nn::kernels::Quant::kFp32) {
-    std::vector<double> mean(dim_, 0.0);
-    for (const auto& v : vectors_) {
-      for (size_t i = 0; i < dim_; ++i) mean[i] += v[i];
+  size_t dim = this->dim();
+  if (n == 0 || dim == 0) return;
+  std::vector<double> mean(dim, 0.0);
+  std::vector<float> scratch;
+  for (size_t r = 0; r < n; ++r) {
+    const float* v = rows_.F32(r, &scratch);
+    for (size_t i = 0; i < dim; ++i) mean[i] += v[i];
+  }
+  for (double& m : mean) m /= static_cast<double>(n);
+  // Each row is centered and normalized in fp32, then written back
+  // (requantized with fresh params for its new range below fp32).
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<float> v(dim);
+    rows_.ToF32(r, v.data());
+    double norm = 0.0;
+    for (size_t i = 0; i < dim; ++i) {
+      v[i] = static_cast<float>(v[i] - mean[i]);
+      norm += static_cast<double>(v[i]) * v[i];
     }
-    for (double& m : mean) m /= static_cast<double>(vectors_.size());
-    for (auto& v : vectors_) {
-      double norm = 0.0;
-      for (size_t i = 0; i < dim_; ++i) {
-        v[i] = static_cast<float>(v[i] - mean[i]);
-        norm += static_cast<double>(v[i]) * v[i];
+    norm = std::sqrt(norm);
+    if (norm > 1e-12) {
+      for (size_t i = 0; i < dim; ++i) {
+        v[i] = static_cast<float>(v[i] / norm);
       }
-      norm = std::sqrt(norm);
-      if (norm > 1e-12) {
-        for (size_t i = 0; i < dim_; ++i) {
-          v[i] = static_cast<float>(v[i] / norm);
-        }
-      }
     }
-    for (size_t i = 0; i < vectors_.size(); ++i) {
-      norms_sq_[i] =
-          nn::kernels::SumSqF32(vectors_[i].data(), vectors_[i].size());
-    }
-  } else {
-    // Dequantize everything, run the identical centering math in fp32,
-    // and requantize. Each row picks up fresh scale/zero-point for its
-    // new range.
-    std::vector<float> dense(n * dim_);
-    for (size_t i = 0; i < n; ++i) RowToF32(i, dense.data() + i * dim_);
-    std::vector<double> mean(dim_, 0.0);
-    for (size_t r = 0; r < n; ++r) {
-      const float* v = dense.data() + r * dim_;
-      for (size_t i = 0; i < dim_; ++i) mean[i] += v[i];
-    }
-    for (double& m : mean) m /= static_cast<double>(n);
-    for (size_t r = 0; r < n; ++r) {
-      float* v = dense.data() + r * dim_;
-      double norm = 0.0;
-      for (size_t i = 0; i < dim_; ++i) {
-        v[i] = static_cast<float>(v[i] - mean[i]);
-        norm += static_cast<double>(v[i]) * v[i];
-      }
-      norm = std::sqrt(norm);
-      if (norm > 1e-12) {
-        for (size_t i = 0; i < dim_; ++i) {
-          v[i] = static_cast<float>(v[i] / norm);
-        }
-      }
-      norms_sq_[r] = WriteQuantRow(r, v);
-    }
+    rows_.Set(r, std::move(v));
+  }
+  if (quant() != nn::kernels::Quant::kFp32) {
     // Keep pointers handed out by Find() tracking the new geometry.
     std::lock_guard<std::mutex> lock(dequant_mu_);
     for (auto& [id, row] : dequant_cache_) {
-      RowToF32(id, row.data());
+      rows_.ToF32(id, row.data());
     }
   }
   if (AnnState* st = ann_.load(std::memory_order_acquire)) st->stale = true;
@@ -699,21 +484,14 @@ void EmbeddingStore::CenterAndNormalize() {
 
 std::vector<float> EmbeddingStore::AverageOf(
     const std::vector<std::string>& keys) const {
-  std::vector<float> avg(dim_, 0.0f);
-  std::vector<float> row;
+  std::vector<float> avg(dim(), 0.0f);
+  std::vector<float> scratch;
   size_t found = 0;
   for (const std::string& key : keys) {
     auto it = index_.find(key);
     if (it == index_.end()) continue;
-    const float* v;
-    if (quant_ == nn::kernels::Quant::kFp32) {
-      v = vectors_[it->second].data();
-    } else {
-      row.resize(dim_);
-      RowToF32(it->second, row.data());
-      v = row.data();
-    }
-    nn::kernels::AxpyF32(1.0f, v, avg.data(), dim_);
+    const float* v = rows_.F32(it->second, &scratch);
+    nn::kernels::AxpyF32(1.0f, v, avg.data(), avg.size());
     ++found;
   }
   if (found > 0) {

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/ann/row_store.h"
 #include "src/common/result.h"
 #include "src/nn/kernels.h"
 
@@ -39,11 +40,13 @@ struct Neighbor {
 /// exact scan until EnableAnn() is called again (appending new keys via
 /// Add keeps the index live — they are inserted incrementally).
 ///
-/// Storage precision (DESIGN.md §11): with AUTODC_EMB_QUANT=int8 (or
-/// int8sym / bf16) — or the explicit quant constructor — rows are
-/// quantized on insert and the fp32 copies are dropped, roughly halving
-/// (bf16) or quartering (int8) row-storage bytes. Exact scans and HNSW
-/// graph hops then score on the quantized rows directly, and the top-k
+/// Storage precision (DESIGN.md §11): rows live in one ann::RowStore,
+/// which the HNSW index borrows rather than copies. With
+/// AUTODC_EMB_QUANT=int8 (or int8sym / bf16) — or the explicit quant
+/// constructor — rows are quantized on insert and the fp32 copies are
+/// dropped, roughly halving (bf16) or quartering (int8) row-storage
+/// bytes. Exact scans and HNSW graph hops then score on the quantized
+/// rows directly, and the top-k
 /// shortlist is re-scored in fp32 over the dequantized rows, so the
 /// similarities returned stay on the exact-path formula. Find() on a
 /// quantized store dequantizes the row on first access into a per-row
@@ -54,12 +57,12 @@ class EmbeddingStore {
   EmbeddingStore() : EmbeddingStore(0) {}
   explicit EmbeddingStore(size_t dim)
       : EmbeddingStore(dim, nn::kernels::QuantFromEnv()) {}
-  EmbeddingStore(size_t dim, nn::kernels::Quant quant)
-      : dim_(dim), quant_(quant) {}
+  EmbeddingStore(size_t dim, nn::kernels::Quant quant) : rows_(dim, quant) {}
   ~EmbeddingStore();
 
   /// Copies duplicate the vectors but not the ANN index (the copy
-  /// rebuilds on demand); moves carry the index along.
+  /// rebuilds on demand); moves carry the index along, re-pointed at the
+  /// moved rows.
   EmbeddingStore(const EmbeddingStore& other);
   EmbeddingStore& operator=(const EmbeddingStore& other);
   EmbeddingStore(EmbeddingStore&& other) noexcept;
@@ -78,14 +81,15 @@ class EmbeddingStore {
     return index_.count(key) > 0;
   }
   size_t size() const { return keys_.size(); }
-  size_t dim() const { return dim_; }
+  size_t dim() const { return rows_.dim(); }
   const std::vector<std::string>& keys() const { return keys_; }
   /// Row storage precision.
-  nn::kernels::Quant quant() const { return quant_; }
+  nn::kernels::Quant quant() const { return rows_.quant(); }
   /// Heap bytes of row storage + cached norms/params (keys and the key
   /// index excluded — they are identical across modes). The memory half
   /// of the quantization bench gate; published as the
-  /// embedding.store.bytes gauge when an ANN index is built.
+  /// embedding.store.bytes gauge when an ANN index is built (the index's
+  /// own ann.bytes gauge counts only its graph).
   size_t ResidentBytes() const;
 
   /// k nearest neighbours of `query` by cosine similarity, excluding the
@@ -121,7 +125,8 @@ class EmbeddingStore {
   void CenterAndNormalize();
 
   /// Builds (or rebuilds) the HNSW index over the current contents and
-  /// routes subsequent NearestToVector calls through it. The no-config
+  /// routes subsequent NearestToVector calls through it. The graph links
+  /// the store's own rows, in the store's precision. The no-config
   /// overload takes defaults + AUTODC_ANN_EF_SEARCH from the
   /// environment.
   Status EnableAnn();
@@ -160,13 +165,6 @@ class EmbeddingStore {
   /// under a query; publication is atomic).
   Status BuildAnn(const ann::HnswConfig& config) const;
 
-  /// Materializes row `id` as fp32 into `out` (dim_ floats): a copy in
-  /// fp32 mode, dequantization otherwise.
-  void RowToF32(size_t id, float* out) const;
-  /// Writes `v` into the quantized backing at row `id` (appending when
-  /// id == current row count) and returns the squared norm of the
-  /// stored (dequantized) representation.
-  double WriteQuantRow(size_t id, const float* v);
   /// Exact-formula similarity against row `id`: fp32 dot over the
   /// dequantized row (via `scratch` on quantized stores). This is the
   /// rescoring contract — ANN hits and quantized-scan shortlists both
@@ -175,24 +173,11 @@ class EmbeddingStore {
   double RescoredSim(const float* query, double query_norm, size_t id,
                      std::vector<float>& scratch) const;
 
-  size_t dim_ = 0;
-  nn::kernels::Quant quant_ = nn::kernels::Quant::kFp32;
+  // Row storage (vectors, int8 params/sums, norms); the ANN index is a
+  // graph over these same rows. Row id == position in keys_.
+  ann::RowStore rows_;
   std::unordered_map<std::string, size_t> index_;
   std::vector<std::string> keys_;
-  // Row storage: vectors_ in fp32 mode, the flat arrays below in
-  // quantized modes (per-row scale/zero-point + cached element sums for
-  // the int8 zero-point correction).
-  std::vector<std::vector<float>> vectors_;
-  std::vector<std::int8_t> q8_data_;
-  std::vector<nn::kernels::Int8Params> q8_params_;
-  std::vector<std::int32_t> q8_sums_;
-  std::vector<std::uint16_t> bf16_data_;
-  std::vector<float> scratch_;  // non-const-path dequant scratch
-  // Cached squared L2 norm per vector (of the stored representation),
-  // maintained by Add and CenterAndNormalize, so nearest-neighbour
-  // search does one dot per candidate instead of a full cosine (3
-  // reductions).
-  std::vector<double> norms_sq_;
   // Find() on a quantized store returns pointers into this per-row
   // dequant cache; unordered_map's node-based storage keeps mapped
   // vectors stable across rehash, and overwrites refresh entries in

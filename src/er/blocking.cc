@@ -162,8 +162,9 @@ std::vector<size_t> ExactTopK(const std::vector<float>& q,
 
 }  // namespace
 
-AnnBlocker::AnnBlocker(size_t k, const ann::HnswConfig& config)
-    : k_(k), config_(config) {}
+AnnBlocker::AnnBlocker(size_t k, const ann::HnswConfig& config,
+                       nn::kernels::Quant quant)
+    : k_(k), config_(config), quant_(quant) {}
 
 std::vector<RowPair> AnnBlocker::Candidates(
     const std::vector<std::vector<float>>& left,
@@ -182,17 +183,15 @@ std::vector<RowPair> AnnBlocker::Candidates(
     });
   } else {
     size_t dim = right[0].size();
-    ann::HnswIndex index(dim, config_);
-    std::vector<const float*> rows;
-    rows.reserve(right.size());
+    ann::RowStore rows(dim, quant_);
     // Rows of the wrong width get a zero vector so ids keep matching
     // row indices; zero-norm rows score 0 against everything, the same
     // as the exact cosine's mismatch semantics.
-    std::vector<float> zero(dim, 0.0f);
     for (const std::vector<float>& v : right) {
-      rows.push_back(v.size() == dim ? v.data() : zero.data());
+      rows.Append(v.size() == dim ? v : std::vector<float>(dim, 0.0f));
     }
-    index.Build(rows);
+    ann::HnswIndex index(&rows, config_);
+    index.Build();
     // Queries are read-only on the built graph: embarrassingly
     // parallel, with per-row output slots so the flattened result is
     // independent of thread count.

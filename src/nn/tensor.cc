@@ -144,13 +144,6 @@ size_t Tensor::ArgMax() const {
   return best;
 }
 
-Tensor Tensor::RowCopy(size_t r) const {
-  size_t c = cols();
-  Tensor out({c});
-  for (size_t j = 0; j < c; ++j) out[j] = at(r, j);
-  return out;
-}
-
 std::string Tensor::ShapeString() const {
   std::ostringstream os;
   os << "[";

@@ -81,8 +81,6 @@ class Tensor {
   double Norm() const;
   /// Index of the maximum element (row-major; 0 for empty).
   size_t ArgMax() const;
-  /// View of row r of a rank-2 tensor as a rank-1 tensor (copies).
-  Tensor RowCopy(size_t r) const;
   /// Non-owning view of row r; valid while this Tensor is alive.
   RowView Row(size_t r) const { return {data_.data() + r * cols(), cols()}; }
 

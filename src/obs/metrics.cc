@@ -11,7 +11,7 @@ namespace autodc::obs {
 
 namespace internal {
 
-thread_local int t_slot = -1;
+constinit thread_local int t_slot = -1;
 
 int AssignSlot() {
   static std::atomic<uint64_t> next{0};

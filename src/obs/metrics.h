@@ -53,7 +53,7 @@ inline std::atomic<bool> g_enabled{true};
 /// (still correct, still data-race-free).
 inline constexpr size_t kSlots = 64;
 int AssignSlot();
-extern thread_local int t_slot;
+extern constinit thread_local int t_slot;
 inline size_t Slot() {
   int s = t_slot;
   return static_cast<size_t>(s >= 0 ? s : AssignSlot());

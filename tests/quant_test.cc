@@ -311,7 +311,8 @@ TEST(QuantConfigTest, AnnEnvKnobsParseAndClamp) {
   EXPECT_EQ(cfg.M, 24u);
   EXPECT_EQ(cfg.ef_construction, 123u);
   EXPECT_EQ(cfg.ef_search, 77u);
-  EXPECT_EQ(cfg.quant, Quant::kInt8);
+  // Row precision resolves separately, for the rows the graph borrows.
+  EXPECT_EQ(k::QuantFromEnv(), Quant::kInt8);
   // Out-of-range values fall back to the defaults (the env.h contract:
   // a warning, never a wedged graph).
   setenv("AUTODC_ANN_M", "1", 1);        // below the min of 2
@@ -325,7 +326,7 @@ TEST(QuantConfigTest, AnnEnvKnobsParseAndClamp) {
   unsetenv("AUTODC_EMB_QUANT");
   cfg = ann::ConfigFromEnv();
   EXPECT_EQ(cfg.M, defaults.M);
-  EXPECT_EQ(cfg.quant, Quant::kFp32);
+  EXPECT_EQ(k::QuantFromEnv(), Quant::kFp32);
 }
 
 // ---- Quantized HNSW ---------------------------------------------------
@@ -351,6 +352,13 @@ std::vector<std::vector<float>> ClusteredVectors(size_t n, size_t dim,
   return out;
 }
 
+ann::RowStore Rows(const std::vector<std::vector<float>>& data, size_t dim,
+                   Quant quant) {
+  ann::RowStore rows(dim, quant);
+  for (const auto& v : data) rows.Append(v);
+  return rows;
+}
+
 std::vector<size_t> ExactTopK(const float* q,
                               const std::vector<std::vector<float>>& data,
                               size_t k) {
@@ -373,12 +381,9 @@ std::vector<size_t> ExactTopK(const float* q,
 double QuantIndexRecallAt10(Quant quant) {
   const size_t n = 600, dim = 32, kk = 10;
   auto data = ClusteredVectors(n, dim, 12, 123);
-  ann::HnswConfig cfg;
-  cfg.quant = quant;
-  ann::HnswIndex index(dim, cfg);
-  std::vector<const float*> rows;
-  for (const auto& v : data) rows.push_back(v.data());
-  index.Build(rows);
+  ann::RowStore rows = Rows(data, dim, quant);
+  ann::HnswIndex index(&rows);
+  index.Build();
   size_t hit = 0, total = 0;
   for (size_t q = 0; q < 40; ++q) {
     auto exact = ExactTopK(data[q * 7].data(), data, kk);
@@ -402,13 +407,11 @@ TEST(QuantHnswTest, Bf16IndexRecallStaysHigh) {
 TEST(QuantHnswTest, QuantizedBuildIsDeterministic) {
   const size_t n = 300, dim = 16;
   auto data = ClusteredVectors(n, dim, 8, 321);
-  std::vector<const float*> rows;
-  for (const auto& v : data) rows.push_back(v.data());
-  ann::HnswConfig cfg;
-  cfg.quant = Quant::kInt8;
-  ann::HnswIndex a(dim, cfg), b(dim, cfg);
-  a.Build(rows);
-  b.Build(rows);
+  ann::RowStore rows_a = Rows(data, dim, Quant::kInt8);
+  ann::RowStore rows_b = Rows(data, dim, Quant::kInt8);
+  ann::HnswIndex a(&rows_a), b(&rows_b);
+  a.Build();
+  b.Build();
   for (size_t q = 0; q < 10; ++q) {
     auto ra = a.Search(data[q].data(), 5);
     auto rb = b.Search(data[q].data(), 5);
@@ -424,18 +427,17 @@ TEST(QuantHnswTest, QuantizedBuildIsDeterministic) {
 TEST(QuantHnswTest, Int8IndexResidentBytesWellBelowFp32) {
   const size_t n = 500, dim = 64;
   auto data = ClusteredVectors(n, dim, 8, 99);
-  std::vector<const float*> rows;
-  for (const auto& v : data) rows.push_back(v.data());
-  ann::HnswConfig f32cfg;
-  ann::HnswConfig i8cfg;
-  i8cfg.quant = Quant::kInt8;
-  ann::HnswIndex f32(dim, f32cfg), i8(dim, i8cfg);
-  f32.Build(rows);
-  i8.Build(rows);
+  ann::RowStore f32_rows = Rows(data, dim, Quant::kFp32);
+  ann::RowStore i8_rows = Rows(data, dim, Quant::kInt8);
+  ann::HnswIndex f32(&f32_rows), i8(&i8_rows);
+  f32.Build();
+  i8.Build();
   // Row storage shrinks 4x; the graph structure is shared overhead, so
-  // gate the whole-index ratio loosely.
-  EXPECT_LT(static_cast<double>(i8.resident_bytes()),
-            0.75 * static_cast<double>(f32.resident_bytes()));
+  // gate the whole-index ratio (rows + graph) loosely.
+  EXPECT_LT(
+      static_cast<double>(i8_rows.resident_bytes() + i8.resident_bytes()),
+      0.75 * static_cast<double>(f32_rows.resident_bytes() +
+                                 f32.resident_bytes()));
 }
 
 // ---- Quantized EmbeddingStore -----------------------------------------
