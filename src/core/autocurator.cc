@@ -14,7 +14,9 @@
 #include "src/embedding/word2vec.h"
 #include "src/er/blocking.h"
 #include "src/er/deeper.h"
+#include "src/obs/trace.h"
 #include "src/text/similarity.h"
+#include "src/text/tokenizer.h"
 
 namespace autodc::core {
 
@@ -140,67 +142,92 @@ Result<CurationResult> AutoCurator::Curate(
       c->Metric("dedup.train_wall_ms", *dedup_wall);
     };
     er::DeepEr model(c->words.get(), dcfg);
-    model.FitWeights({&working});
+
+    // Every row is embedded once; blocking, training and scoring all
+    // read the same cache.
+    er::RowCache rows;
+    {
+      AUTODC_OBS_SPAN(embed_span, "dedup.embed");
+      model.FitWeights({&working});
+      rows = model.EmbedRows(working);
+    }
 
     // Blocking within the table.
-    std::vector<std::vector<float>> vecs;
-    vecs.reserve(working.num_rows());
-    for (size_t r = 0; r < working.num_rows(); ++r) {
-      vecs.push_back(model.EmbedTupleVector(working.row(r)));
-    }
-    er::LshBlocker lsh(c->words->dim(), 4, 12, cfg.seed);
     std::vector<er::RowPair> candidates;
-    for (const er::RowPair& p : lsh.Candidates(vecs, vecs)) {
-      if (p.first < p.second) candidates.push_back(p);
+    {
+      AUTODC_OBS_SPAN(block_span, "dedup.block");
+      er::LshBlocker lsh(c->words->dim(), 4, 12, cfg.seed);
+      for (const er::RowPair& p : lsh.Candidates(rows.tuples, rows.tuples)) {
+        if (p.first < p.second) candidates.push_back(p);
+      }
     }
     c->Metric("dedup.candidates", static_cast<double>(candidates.size()));
 
     // Weak supervision: near-identical candidates are positives; very
     // dissimilar random pairs are negatives. No hand labels needed.
     std::vector<er::PairLabel> train;
-    Rng rng(cfg.seed);
-    for (const er::RowPair& p : candidates) {
-      double sim = text::TokenJaccard(RowText(working.row(p.first)),
-                                      RowText(working.row(p.second)));
-      if (sim > 0.75) train.push_back({p.first, p.second, 1});
-    }
-    size_t want_neg = train.size() * cfg.negatives_per_positive;
-    size_t attempts = 0;
-    while (train.size() < want_neg + want_neg / cfg.negatives_per_positive &&
-           attempts < want_neg * 30 && working.num_rows() > 1) {
-      ++attempts;
-      size_t a = static_cast<size_t>(rng.UniformInt(
-          0, static_cast<int64_t>(working.num_rows()) - 1));
-      size_t b = static_cast<size_t>(rng.UniformInt(
-          0, static_cast<int64_t>(working.num_rows()) - 1));
-      if (a == b) continue;
-      double sim = text::TokenJaccard(RowText(working.row(a)),
-                                      RowText(working.row(b)));
-      if (sim < 0.3) train.push_back({a, b, 0});
+    {
+      AUTODC_OBS_SPAN(weak_span, "dedup.weak_label");
+      std::vector<text::TokenSet> tokens;
+      tokens.reserve(working.num_rows());
+      for (size_t r = 0; r < working.num_rows(); ++r) {
+        tokens.push_back(
+            text::MakeTokenSet(text::Tokenize(RowText(working.row(r)))));
+      }
+      for (const er::RowPair& p : candidates) {
+        double sim = text::SetJaccard(tokens[p.first], tokens[p.second]);
+        if (sim > 0.75) train.push_back({p.first, p.second, 1});
+      }
+      Rng rng(cfg.seed);
+      size_t want_neg = train.size() * cfg.negatives_per_positive;
+      size_t attempts = 0;
+      while (train.size() < want_neg + want_neg / cfg.negatives_per_positive &&
+             attempts < want_neg * 30 && working.num_rows() > 1) {
+        ++attempts;
+        size_t a = static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(working.num_rows()) - 1));
+        size_t b = static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(working.num_rows()) - 1));
+        if (a == b) continue;
+        double sim = text::SetJaccard(tokens[a], tokens[b]);
+        if (sim < 0.3) train.push_back({a, b, 0});
+      }
     }
     if (train.empty()) {
       c->Log("dedup: no weak labels found; skipping");
       return Status::OK();
     }
-    model.Train(working, working, train);
+    {
+      AUTODC_OBS_SPAN(train_span, "dedup.train");
+      model.Train(rows, rows, train);
+    }
 
     // Match and cluster.
-    std::vector<er::RowPair> matches =
-        model.Match(working, working, candidates, cfg.dedup_threshold);
-    UnionFind uf(working.num_rows());
-    for (const er::RowPair& m : matches) uf.Union(m.first, m.second);
-    std::unordered_map<size_t, std::vector<size_t>> clusters;
-    for (size_t r = 0; r < working.num_rows(); ++r) {
-      clusters[uf.Find(r)].push_back(r);
+    std::vector<er::RowPair> matches;
+    {
+      AUTODC_OBS_SPAN(score_span, "dedup.score");
+      matches = model.Match(rows, rows, candidates, cfg.dedup_threshold);
     }
     std::vector<std::vector<size_t>> cluster_list;
-    cluster_list.reserve(clusters.size());
-    for (auto& [root, rows] : clusters) {
-      (void)root;
-      cluster_list.push_back(std::move(rows));
+    {
+      AUTODC_OBS_SPAN(cluster_span, "dedup.cluster");
+      UnionFind uf(working.num_rows());
+      for (const er::RowPair& m : matches) uf.Union(m.first, m.second);
+      std::unordered_map<size_t, std::vector<size_t>> clusters;
+      for (size_t r = 0; r < working.num_rows(); ++r) {
+        clusters[uf.Find(r)].push_back(r);
+      }
+      cluster_list.reserve(clusters.size());
+      for (auto& [root, members] : clusters) {
+        (void)root;
+        cluster_list.push_back(std::move(members));
+      }
     }
     size_t before = working.num_rows();
-    working = cleaning::FuseClusters(working, cluster_list);
+    {
+      AUTODC_OBS_SPAN(fuse_span, "dedup.fuse");
+      working = cleaning::FuseClusters(working, cluster_list);
+    }
     c->Log("dedup: " + std::to_string(before) + " rows -> " +
            std::to_string(working.num_rows()) + " entities");
     c->Metric("dedup.rows_before", static_cast<double>(before));

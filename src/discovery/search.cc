@@ -82,6 +82,18 @@ std::vector<SearchResult> TableSearchEngine::Search(
   std::vector<float> qvec = words_->AverageOf(qtokens);
   auto qtfidf = tfidf_.Transform(qtokens);
   double qnorm_sq = nn::kernels::SumSqF32(qvec.data(), qvec.size());
+  // The query vector averages only the tokens the word store knows. When
+  // few are known it stands for a sliver of the query, so the neural
+  // signal's weight shrinks with the known fraction and the lexical
+  // signal takes the rest.
+  size_t known = 0;
+  for (const std::string& tok : qtokens) {
+    if (words_->Contains(tok)) ++known;
+  }
+  double neural_weight =
+      qtokens.empty() ? 0.0
+                      : config_.neural_weight * static_cast<double>(known) /
+                            static_cast<double>(qtokens.size());
 
   auto score_table = [&](size_t i) {
     // cosine(q, t) with |q|^2 hoisted out of the loop and |t|^2 cached
@@ -94,9 +106,8 @@ std::vector<SearchResult> TableSearchEngine::Search(
       neural = dot / (std::sqrt(qnorm_sq) * std::sqrt(table_norms_sq_[i]));
     }
     double lexical = text::TfIdf::SparseCosine(qtfidf, table_tfidf_[i]);
-    return SearchResult{table_names_[i],
-                        config_.neural_weight * neural +
-                            (1.0 - config_.neural_weight) * lexical};
+    return SearchResult{table_names_[i], neural_weight * neural +
+                                             (1.0 - neural_weight) * lexical};
   };
 
   std::vector<SearchResult> out;

@@ -21,7 +21,8 @@ struct SearchResult {
 
 struct SearchConfig {
   /// Mix between the neural (embedding cosine) and lexical (tf-idf
-  /// cosine) ranking signals, as in hybrid neural IR (Sec. 5.1).
+  /// cosine) ranking signals, as in hybrid neural IR (Sec. 5.1). Search
+  /// scales it by the fraction of query tokens the word store knows.
   double neural_weight = 0.6;
   size_t top_k = 5;
   /// Sub-linear mode (defaults to the AUTODC_ANN env switch): Index()

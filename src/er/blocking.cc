@@ -105,28 +105,31 @@ std::vector<RowPair> LshBlocker::Candidates(
     }
   };
   AUTODC_OBS_SPAN(lsh_span, "blocking.lsh_candidates");
-  // Each table's hashing + bucket probe is independent, so tables run in
-  // parallel; the dedup merge below consumes them in table order, which
-  // keeps the result identical to the serial implementation for any
-  // thread count.
-  std::vector<std::vector<RowPair>> per_table(num_tables_);
+  // Hashing every row into every table is independent per table, so
+  // tables hash in parallel. The probe then inserts pairs serially in
+  // (table, left row, bucket) order, which fixes the result's order for
+  // any thread count, without first materializing each table's pairs.
+  std::vector<std::unordered_map<uint64_t, std::vector<size_t>>> buckets(
+      num_tables_);
+  std::vector<std::vector<uint64_t>> left_codes(num_tables_);
   ParallelFor(0, num_tables_, 1, [&](size_t t0, size_t t1) {
     for (size_t t = t0; t < t1; ++t) {
-      std::unordered_map<uint64_t, std::vector<size_t>> buckets;
       for (size_t r = 0; r < right.size(); ++r) {
-        buckets[HashVector(right[r], t)].push_back(r);
+        buckets[t][HashVector(right[r], t)].push_back(r);
       }
-      std::vector<RowPair>& pairs = per_table[t];
+      left_codes[t].resize(left.size());
       for (size_t l = 0; l < left.size(); ++l) {
-        auto it = buckets.find(HashVector(left[l], t));
-        if (it == buckets.end()) continue;
-        for (size_t r : it->second) pairs.emplace_back(l, r);
+        left_codes[t][l] = HashVector(left[l], t);
       }
     }
   });
   std::unordered_set<RowPair, PairHash> seen;
-  for (const std::vector<RowPair>& pairs : per_table) {
-    for (const RowPair& p : pairs) seen.insert(p);
+  for (size_t t = 0; t < num_tables_; ++t) {
+    for (size_t l = 0; l < left.size(); ++l) {
+      auto it = buckets[t].find(left_codes[t][l]);
+      if (it == buckets[t].end()) continue;
+      for (size_t r : it->second) seen.insert({l, r});
+    }
   }
   AUTODC_OBS_COUNT("blocking.lsh_candidates", seen.size());
   return std::vector<RowPair>(seen.begin(), seen.end());

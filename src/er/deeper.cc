@@ -1,5 +1,6 @@
 #include "src/er/deeper.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
@@ -221,40 +222,120 @@ std::vector<float> DeepEr::AttributeEmbedding(const data::Value& v) const {
   return embedding::EmbedTokens(*words_, tokens);
 }
 
-std::vector<float> DeepEr::SimilarityVector(data::RowView a,
-                                            data::RowView b) const {
-  std::vector<float> f;
-  f.reserve(3 * a.size() + 1);
-  for (size_t c = 0; c < a.size(); ++c) {
-    // Cells are assembled from column storage once per attribute.
-    const data::Value va = a[c];
-    const data::Value vb = b[c];
-    bool any_null = va.is_null() || vb.is_null();
-    f.push_back(any_null ? 1.0f : 0.0f);
-    if (any_null) {
-      f.push_back(0.0f);
-      f.push_back(0.0f);
+namespace {
+
+// Candidate pairs per batched classifier forward in Match: enough rows
+// to amortize the forward, few enough that each worker's feature block
+// stays a few KB.
+constexpr size_t kScoreBlock = 64;
+
+// The candidates whose flag is set, in order (so Match's output does not
+// depend on how the flags were computed in parallel).
+std::vector<RowPair> KeepFlagged(const std::vector<RowPair>& candidates,
+                                 const std::vector<char>& keep) {
+  std::vector<RowPair> out;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (keep[i]) out.push_back(candidates[i]);
+  }
+  AUTODC_OBS_COUNT("deeper.matches", out.size());
+  return out;
+}
+
+// Sizes `cache` for `rows` rows of `columns` cells of width `dim`.
+void SizeCache(size_t rows, size_t columns, size_t dim, RowCache* cache) {
+  cache->num_columns = columns;
+  cache->dim = dim;
+  cache->kinds.assign(rows * columns, RowCache::kNull);
+  cache->numbers.assign(rows * columns, 0.0);
+  cache->cells.assign(rows * columns * dim, 0.0f);
+  // Row buffers are allocated here, on the calling thread, and filled in
+  // place by the workers: buffers that outlive a parallel section but
+  // come from the workers' malloc arenas fragment them, and peak RSS
+  // creeps up over repeated calls.
+  cache->tuples.assign(rows, std::vector<float>(dim));
+}
+
+}  // namespace
+
+void CachedSimilarityVector(const RowCache& a, size_t ra, const RowCache& b,
+                            size_t rb, std::vector<float>* f) {
+  size_t cols = a.num_columns;
+  size_t dim = a.dim;
+  f->clear();
+  f->reserve(3 * cols + 1);
+  for (size_t c = 0; c < cols; ++c) {
+    size_t ia = ra * cols + c;
+    size_t ib = rb * cols + c;
+    if (a.kinds[ia] == RowCache::kNull || b.kinds[ib] == RowCache::kNull) {
+      f->insert(f->end(), {1.0f, 0.0f, 0.0f});
       continue;
     }
-    bool a_num = false, b_num = false;
-    double x = va.ToNumeric(&a_num);
-    double y = vb.ToNumeric(&b_num);
-    if (a_num && b_num) {
+    f->push_back(0.0f);
+    if (a.kinds[ia] == RowCache::kNumeric &&
+        b.kinds[ib] == RowCache::kNumeric) {
       // Heterogeneity handling (Sec. 3.2): numeric cells compare
       // numerically — token embeddings of digit strings carry no metric
       // structure.
+      double x = a.numbers[ia];
+      double y = b.numbers[ib];
       double scale = std::max({std::fabs(x), std::fabs(y), 1e-9});
-      f.push_back(static_cast<float>(1.0 - std::fabs(x - y) / scale));
-      f.push_back(x == y ? 1.0f : 0.0f);
+      f->push_back(static_cast<float>(1.0 - std::fabs(x - y) / scale));
+      f->push_back(x == y ? 1.0f : 0.0f);
       continue;
     }
-    std::vector<float> ea = AttributeEmbedding(va);
-    std::vector<float> eb = AttributeEmbedding(vb);
-    f.push_back(static_cast<float>(text::CosineSimilarity(ea, eb)));
-    f.push_back(static_cast<float>(text::EuclideanDistance(ea, eb)));
+    const float* ea = a.cells.data() + ia * dim;
+    const float* eb = b.cells.data() + ib * dim;
+    // text::CosineSimilarity / EuclideanDistance on the cached cells.
+    f->push_back(static_cast<float>(
+        dim == 0 ? 0.0 : nn::kernels::CosineF32(ea, eb, dim)));
+    f->push_back(
+        static_cast<float>(std::sqrt(nn::kernels::SqDistF32(ea, eb, dim))));
   }
-  f.push_back(static_cast<float>(
-      text::CosineSimilarity(EmbedTupleVector(a), EmbedTupleVector(b))));
+  f->push_back(static_cast<float>(
+      text::CosineSimilarity(a.tuples[ra], b.tuples[rb])));
+}
+
+void DeepEr::EmbedRowInto(data::RowView row, size_t r,
+                          RowCache* cache) const {
+  size_t cols = cache->num_columns;
+  for (size_t c = 0; c < cols; ++c) {
+    // Cells are assembled from column storage once per attribute.
+    const data::Value v = row[c];
+    if (v.is_null()) continue;  // kNull, zero embedding
+    size_t cell = r * cols + c;
+    bool numeric = false;
+    cache->numbers[cell] = v.ToNumeric(&numeric);
+    cache->kinds[cell] = numeric ? RowCache::kNumeric : RowCache::kText;
+    // Numeric cells keep an embedding too: a numeric/text pair compares
+    // by embedding.
+    std::vector<float> e = AttributeEmbedding(v);
+    std::copy(e.begin(), e.end(), cache->cells.begin() + cell * cache->dim);
+  }
+  std::vector<float> tuple = EmbedTupleVector(row);
+  cache->tuples[r].assign(tuple.begin(), tuple.end());
+}
+
+RowCache DeepEr::EmbedRows(const data::Table& table) const {
+  AUTODC_OBS_SPAN(embed_span, "deeper.embed_rows");
+  RowCache cache;
+  cache.table = &table;
+  SizeCache(table.num_rows(), table.num_columns(), words_->dim(), &cache);
+  ParallelFor(0, table.num_rows(), 8, [&](size_t lo, size_t hi) {
+    for (size_t r = lo; r < hi; ++r) EmbedRowInto(table.row(r), r, &cache);
+  });
+  return cache;
+}
+
+std::vector<float> DeepEr::SimilarityVector(data::RowView a,
+                                            data::RowView b) const {
+  RowCache ca;
+  RowCache cb;
+  SizeCache(1, a.size(), words_->dim(), &ca);
+  SizeCache(1, a.size(), words_->dim(), &cb);
+  EmbedRowInto(a, 0, &ca);
+  EmbedRowInto(b, 0, &cb);
+  std::vector<float> f;
+  CachedSimilarityVector(ca, 0, cb, 0, &f);
   return f;
 }
 
@@ -285,26 +366,13 @@ nn::TrainOptions DeepEr::MakeTrainOptions(size_t batch_size,
 
 double DeepEr::Train(const data::Table& left, const data::Table& right,
                      const std::vector<PairLabel>& pairs) {
+  if (config_.composition == TupleComposition::kAverage) {
+    RowCache l = EmbedRows(left);
+    if (&left == &right) return Train(l, l, pairs);
+    return Train(l, EmbedRows(right), pairs);
+  }
   AUTODC_OBS_SPAN(train_span, "deeper.train");
   AUTODC_OBS_COUNT("deeper.train_pairs", pairs.size());
-  if (config_.composition == TupleComposition::kAverage) {
-    EnsureAvgClassifier(left.num_columns());
-    // Featurization is a pure map over pairs — the dominant cost of the
-    // average path — so it runs on the thread pool.
-    nn::Batch features(pairs.size());
-    std::vector<int> labels(pairs.size());
-    ParallelFor(0, pairs.size(), 8, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        const PairLabel& p = pairs[i];
-        features[i] = SimilarityVector(left.row(p.left), right.row(p.right));
-        labels[i] = p.label;
-      }
-    });
-    last_train_ = avg_classifier_->Train(
-        features, labels, MakeTrainOptions(/*batch_size=*/32,
-                                           /*grad_clip=*/5.0f));
-    return last_train_.final_train_loss;
-  }
 
   // LSTM path: per-pair SGD through the unrolled encoders, driven by the
   // shared Trainer runtime. The unrolled graphs allocate thousands of
@@ -334,6 +402,30 @@ double DeepEr::Train(const data::Table& left, const data::Table& right,
   return last_train_.final_train_loss;
 }
 
+double DeepEr::Train(const RowCache& left, const RowCache& right,
+                     const std::vector<PairLabel>& pairs) {
+  if (config_.composition != TupleComposition::kAverage) {
+    return Train(*left.table, *right.table, pairs);
+  }
+  AUTODC_OBS_SPAN(train_span, "deeper.train");
+  AUTODC_OBS_COUNT("deeper.train_pairs", pairs.size());
+  EnsureAvgClassifier(left.num_columns);
+  // Featurization reads only the caches, so it runs on the thread pool.
+  nn::Batch features(pairs.size());
+  std::vector<int> labels(pairs.size());
+  ParallelFor(0, pairs.size(), 8, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      const PairLabel& p = pairs[i];
+      CachedSimilarityVector(left, p.left, right, p.right, &features[i]);
+      labels[i] = p.label;
+    }
+  });
+  last_train_ = avg_classifier_->Train(
+      features, labels, MakeTrainOptions(/*batch_size=*/32,
+                                         /*grad_clip=*/5.0f));
+  return last_train_.final_train_loss;
+}
+
 double DeepEr::PredictProba(data::RowView a, data::RowView b) const {
   if (config_.composition == TupleComposition::kAverage) {
     if (avg_classifier_ == nullptr) return 0.0;  // untrained
@@ -348,10 +440,13 @@ std::vector<RowPair> DeepEr::Match(const data::Table& left,
                                    const data::Table& right,
                                    const std::vector<RowPair>& candidates,
                                    double threshold) const {
-  // Scoring candidate pairs is embarrassingly parallel: PredictProba
-  // only reads trained weights and embedding stores. Flags are collected
-  // per pair and compacted in order, so the output is independent of the
-  // thread count.
+  if (config_.composition == TupleComposition::kAverage) {
+    RowCache l = EmbedRows(left);
+    if (&left == &right) return Match(l, l, candidates, threshold);
+    return Match(l, EmbedRows(right), candidates, threshold);
+  }
+  // LSTM path: scoring candidate pairs is embarrassingly parallel —
+  // PredictProba only reads trained weights and embedding stores.
   AUTODC_OBS_SPAN(match_span, "deeper.match");
   AUTODC_OBS_COUNT("deeper.match_candidates", candidates.size());
   std::vector<char> keep(candidates.size(), 0);
@@ -366,12 +461,39 @@ std::vector<RowPair> DeepEr::Match(const data::Table& left,
               : 0;
     }
   });
-  std::vector<RowPair> out;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (keep[i]) out.push_back(candidates[i]);
+  return KeepFlagged(candidates, keep);
+}
+
+std::vector<RowPair> DeepEr::Match(const RowCache& left, const RowCache& right,
+                                   const std::vector<RowPair>& candidates,
+                                   double threshold) const {
+  if (config_.composition != TupleComposition::kAverage) {
+    return Match(*left.table, *right.table, candidates, threshold);
   }
-  AUTODC_OBS_COUNT("deeper.matches", out.size());
-  return out;
+  AUTODC_OBS_SPAN(match_span, "deeper.match");
+  AUTODC_OBS_COUNT("deeper.match_candidates", candidates.size());
+  std::vector<char> keep(candidates.size(), 0);
+  if (avg_classifier_ == nullptr) {
+    // Untrained: PredictProba is 0 for every pair.
+    std::fill(keep.begin(), keep.end(), 0.0 >= threshold ? 1 : 0);
+    return KeepFlagged(candidates, keep);
+  }
+  ParallelFor(0, candidates.size(), kScoreBlock, [&](size_t lo, size_t hi) {
+    nn::Batch block;
+    for (size_t b0 = lo; b0 < hi; b0 += kScoreBlock) {
+      size_t b1 = std::min(hi, b0 + kScoreBlock);
+      block.resize(b1 - b0);
+      for (size_t i = b0; i < b1; ++i) {
+        const RowPair& c = candidates[i];
+        CachedSimilarityVector(left, c.first, right, c.second, &block[i - b0]);
+      }
+      std::vector<double> probs = avg_classifier_->PredictProbaBatch(block);
+      for (size_t i = b0; i < b1; ++i) {
+        keep[i] = probs[i - b0] >= threshold ? 1 : 0;
+      }
+    }
+  });
+  return KeepFlagged(candidates, keep);
 }
 
 void DeepEr::InitForSchema(const data::Schema& schema) {

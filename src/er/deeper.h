@@ -1,6 +1,7 @@
 #ifndef AUTODC_ER_DEEPER_H_
 #define AUTODC_ER_DEEPER_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -43,6 +44,35 @@ enum class TupleComposition {
   kAverage = 0,  ///< mean of the tuple's word vectors (fast path)
   kLstm,         ///< trainable (bi)LSTM over the word sequence
 };
+
+/// Per-row state DeepER's similarity features are built from: for every
+/// cell a kind (null, text or numeric), its numeric parse and its
+/// composed attribute embedding, plus the row's tuple vector. Built once
+/// per row by DeepEr::EmbedRows, so scoring m candidate pairs over n
+/// rows embeds n rows instead of 2m. Tied to the table it was built from
+/// (which must outlive it) and to the model's SIF weights at build time.
+struct RowCache {
+  enum CellKind : uint8_t { kNull = 0, kText, kNumeric };
+
+  const data::Table* table = nullptr;
+  size_t num_columns = 0;
+  size_t dim = 0;
+  /// Row-major per-cell state: kinds/numbers hold one entry per cell,
+  /// cells holds `dim` floats per cell (zeros for a null cell).
+  std::vector<CellKind> kinds;
+  std::vector<double> numbers;
+  std::vector<float> cells;
+  /// One tuple vector per row (EmbedTupleVector) — the blocker's input.
+  std::vector<std::vector<float>> tuples;
+
+  size_t num_rows() const { return tuples.size(); }
+};
+
+/// DeepER's similarity vector (see DeepEr::SimilarityVector) between row
+/// `ra` of `a` and row `rb` of `b`, written to `out`. The one feature
+/// code path: SimilarityVector, Train and Match all build features here.
+void CachedSimilarityVector(const RowCache& a, size_t ra, const RowCache& b,
+                            size_t rb, std::vector<float>* out);
 
 struct DeepErConfig {
   TupleComposition composition = TupleComposition::kAverage;
@@ -92,6 +122,10 @@ class DeepEr {
   /// history is available via last_train_result().
   double Train(const data::Table& left, const data::Table& right,
                const std::vector<PairLabel>& pairs);
+  /// Train over rows already embedded by EmbedRows (the average path
+  /// featurizes from the caches; the LSTM path reads their tables).
+  double Train(const RowCache& left, const RowCache& right,
+               const std::vector<PairLabel>& pairs);
 
   /// Trainer result of the most recent Train call (epoch history,
   /// early-stopping outcome, checkpoint status).
@@ -105,15 +139,27 @@ class DeepEr {
                              const data::Table& right,
                              const std::vector<RowPair>& candidates,
                              double threshold = 0.5) const;
+  /// Match over rows already embedded by EmbedRows. The average path
+  /// scores fixed-size blocks of candidates with one batched classifier
+  /// forward each; the probabilities equal per-pair PredictProba bit for
+  /// bit, so the output does not depend on blocking or thread count.
+  std::vector<RowPair> Match(const RowCache& left, const RowCache& right,
+                             const std::vector<RowPair>& candidates,
+                             double threshold = 0.5) const;
+
+  /// Embeds every row of `table` once, in parallel. Call after
+  /// FitWeights: SIF weights shape the embeddings.
+  RowCache EmbedRows(const data::Table& table) const;
 
   /// Tuple embedding under the configured composition (average path uses
   /// the word store; LSTM path runs the trained encoder). Exposed for
   /// LSH blocking over tuple vectors.
   std::vector<float> EmbedTupleVector(data::RowView row) const;
 
-  /// DeepER's similarity vector (Figure 5): per attribute, the cosine,
-  /// L2 distance, and a null indicator between the two cells' composed
-  /// embeddings, plus the whole-tuple cosine.
+  /// DeepER's similarity vector (Figure 5): per attribute, a null
+  /// indicator and two similarities — cosine and L2 distance of the two
+  /// cells' composed embeddings, or a relative difference and equality
+  /// flag when both cells are numeric — plus the whole-tuple cosine.
   std::vector<float> SimilarityVector(data::RowView a, data::RowView b) const;
 
   const DeepErConfig& config() const { return config_; }
@@ -137,6 +183,8 @@ class DeepEr {
   /// Composed embedding of one cell's tokens (SIF + subword fallback
   /// when FitWeights was called).
   std::vector<float> AttributeEmbedding(const data::Value& v) const;
+  /// Fills row `r` of `cache` (sized by EmbedRows) from `row`.
+  void EmbedRowInto(data::RowView row, size_t r, RowCache* cache) const;
   void EnsureAvgClassifier(size_t num_columns);
   /// TrainOptions assembled from the config's Trainer knobs.
   nn::TrainOptions MakeTrainOptions(size_t batch_size, float grad_clip) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "src/nn/kernels.h"
 #include "src/text/tokenizer.h"
@@ -76,28 +75,39 @@ double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
   return jaro + 0.1 * static_cast<double>(prefix) * (1.0 - jaro);
 }
 
-namespace {
-double SetJaccard(const std::vector<std::string>& xs,
-                  const std::vector<std::string>& ys) {
-  if (xs.empty() && ys.empty()) return 1.0;
-  std::unordered_set<std::string> sa(xs.begin(), xs.end());
-  std::unordered_set<std::string> sb(ys.begin(), ys.end());
+TokenSet MakeTokenSet(std::vector<std::string> tokens) {
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+  return tokens;
+}
+
+double SetJaccard(const TokenSet& a, const TokenSet& b) {
+  if (a.empty() && b.empty()) return 1.0;
   size_t inter = 0;
-  for (const std::string& s : sa) {
-    if (sb.count(s) > 0) ++inter;
+  auto ia = a.begin();
+  auto ib = b.begin();
+  while (ia != a.end() && ib != b.end()) {
+    if (*ia < *ib) {
+      ++ia;
+    } else if (*ib < *ia) {
+      ++ib;
+    } else {
+      ++inter;
+      ++ia;
+      ++ib;
+    }
   }
-  size_t uni = sa.size() + sb.size() - inter;
-  if (uni == 0) return 1.0;
+  size_t uni = a.size() + b.size() - inter;
   return static_cast<double>(inter) / static_cast<double>(uni);
 }
-}  // namespace
 
 double TokenJaccard(std::string_view a, std::string_view b) {
-  return SetJaccard(Tokenize(a), Tokenize(b));
+  return SetJaccard(MakeTokenSet(Tokenize(a)), MakeTokenSet(Tokenize(b)));
 }
 
 double TrigramJaccard(std::string_view a, std::string_view b) {
-  return SetJaccard(CharNgrams(a, 3), CharNgrams(b, 3));
+  return SetJaccard(MakeTokenSet(CharNgrams(a, 3)),
+                    MakeTokenSet(CharNgrams(b, 3)));
 }
 
 double MongeElkan(std::string_view a, std::string_view b) {

@@ -19,6 +19,16 @@ double JaroSimilarity(std::string_view a, std::string_view b);
 /// Jaro-Winkler similarity with standard prefix scaling (p=0.1, max 4).
 double JaroWinklerSimilarity(std::string_view a, std::string_view b);
 
+/// A sorted, deduplicated token set. Build it once per string with
+/// MakeTokenSet when the same string takes part in many comparisons.
+using TokenSet = std::vector<std::string>;
+
+/// Sorts and deduplicates `tokens` into a TokenSet.
+TokenSet MakeTokenSet(std::vector<std::string> tokens);
+
+/// |a ∩ b| / |a ∪ b| of two token sets; 1.0 when both are empty.
+double SetJaccard(const TokenSet& a, const TokenSet& b);
+
 /// Jaccard similarity of the word-token sets of a and b.
 double TokenJaccard(std::string_view a, std::string_view b);
 

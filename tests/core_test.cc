@@ -6,6 +6,7 @@
 #include "src/core/pipeline.h"
 #include "src/datagen/er_benchmark.h"
 #include "src/datagen/error_injector.h"
+#include "src/serve/fingerprint.h"
 
 namespace autodc::core {
 namespace {
@@ -141,6 +142,22 @@ TEST_F(AutoCuratorTest, EndToEndCuratesTheRightTable) {
   EXPECT_GT(r.context.metrics.at("dedup.train_wall_ms"), 0.0);
   EXPECT_EQ(r.context.metrics.at("impute.train_epochs"), 60.0);
   EXPECT_GT(r.context.metrics.count("impute.train_loss.epoch59"), 0u);
+}
+
+TEST_F(AutoCuratorTest, CuratedTableFingerprintIsPinned) {
+  // Golden output of the whole Figure-1 flow on this lake, captured
+  // before dedup moved to cached rows and batched scoring. Any change in
+  // what Curate emits — a feature, a probability, a tie — shows here.
+  size_t expected_entities = 0;
+  std::vector<data::Table> lake = MakeLake(&expected_entities);
+  AutoCuratorConfig cfg;
+  cfg.task_query = "product brand model price catalog";
+  cfg.max_tables = 1;
+  cfg.seed = 4;
+  auto result = AutoCurator(cfg).Curate(lake);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(serve::FingerprintTable(result.ValueOrDie().curated),
+            0x599098109f0cf750ull);
 }
 
 TEST_F(AutoCuratorTest, EmptyLakeRejected) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/datagen/enterprise.h"
+#include "src/datagen/er_benchmark.h"
 #include "src/discovery/ekg.h"
 #include "src/discovery/search.h"
 #include "src/discovery/semantic_matcher.h"
@@ -187,6 +188,63 @@ TEST_F(LakeTest, SearchWithRelatedExpandsResults) {
   auto expanded = engine.SearchWithRelated("protein assay measurements", ekg);
   auto direct = engine.Search("protein assay measurements");
   EXPECT_GE(expanded.size(), direct.size());
+}
+
+// A lake where the word store knows only one query token ("price"): its
+// lone vector used to carry the full neural weight and outvote the
+// catalog's lexical match, selecting the employee directory instead.
+TEST(SearchCoverageTest, SparselyKnownQueryKeepsLexicalMatchFirst) {
+  const uint64_t seed = 2001;
+  datagen::ErBenchmarkConfig pcfg;
+  pcfg.domain = datagen::ErDomain::kProducts;
+  pcfg.num_entities = 240;
+  pcfg.overlap = 0.6;
+  pcfg.dirtiness = 0.25;
+  pcfg.synonym_rate = 0.0;
+  pcfg.null_rate = 0.12;
+  pcfg.seed = seed;
+  datagen::ErBenchmark products = datagen::GenerateErBenchmark(pcfg);
+  data::Table catalog(products.left.schema(), "product_catalog");
+  for (size_t r = 0; r < products.left.num_rows(); ++r) {
+    ASSERT_TRUE(catalog.AppendRow(products.left.row(r)).ok());
+  }
+  for (size_t r = 0; r < products.right.num_rows(); ++r) {
+    ASSERT_TRUE(catalog.AppendRow(products.right.row(r)).ok());
+  }
+  datagen::ErBenchmarkConfig dcfg1;
+  dcfg1.domain = datagen::ErDomain::kPersons;
+  dcfg1.num_entities = 60;
+  dcfg1.seed = seed + 1;
+  data::Table people = datagen::GenerateErBenchmark(dcfg1).left;
+  people.set_name("employee_directory");
+  datagen::ErBenchmarkConfig dcfg2;
+  dcfg2.domain = datagen::ErDomain::kCitations;
+  dcfg2.num_entities = 60;
+  dcfg2.seed = seed + 2;
+  data::Table papers = datagen::GenerateErBenchmark(dcfg2).left;
+  papers.set_name("publication_list");
+  std::vector<const data::Table*> tables = {&people, &catalog, &papers};
+
+  // The Figure-1 pipeline's representation stage.
+  embedding::Word2VecConfig wcfg;
+  wcfg.sgns.dim = 32;
+  wcfg.sgns.epochs = 6;
+  wcfg.sgns.seed = 4;
+  embedding::EmbeddingStore words =
+      embedding::TrainWordEmbeddingsFromTables(tables, wcfg);
+  const std::string query = "product brand model price catalog";
+  size_t known = 0;
+  for (const char* tok : {"product", "brand", "model", "price", "catalog"}) {
+    if (words.Contains(tok)) ++known;
+  }
+  ASSERT_EQ(known, 1u) << "the lake no longer reproduces the sparse query";
+  ASSERT_TRUE(words.Contains("price"));
+
+  TableSearchEngine engine(&words);
+  engine.Index(tables);
+  auto hits = engine.Search(query);
+  ASSERT_FALSE(hits.empty());
+  EXPECT_EQ(hits[0].table, "product_catalog");
 }
 
 }  // namespace

@@ -3,7 +3,12 @@
 // the DeepER model in both composition modes on a generated benchmark.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "src/common/parallel.h"
 #include "src/datagen/er_benchmark.h"
+#include "src/embedding/composition.h"
 #include "src/embedding/word2vec.h"
 #include "src/er/baselines.h"
 #include "src/er/blocking.h"
@@ -11,6 +16,7 @@
 #include "src/er/evaluation.h"
 #include "src/er/features.h"
 #include "src/text/similarity.h"
+#include "src/text/tokenizer.h"
 
 namespace autodc::er {
 namespace {
@@ -221,6 +227,152 @@ class DeepErPipelineTest : public ::testing::Test {
 
 datagen::ErBenchmark* DeepErPipelineTest::bench_ = nullptr;
 embedding::EmbeddingStore* DeepErPipelineTest::words_ = nullptr;
+
+// DeepER's similarity vector computed the per-pair way: every cell and
+// both tuple vectors re-embedded for each pair. `vocab` is null for a
+// model without FitWeights, else the token counts FitWeights collects.
+std::vector<float> PerPairSimilarityVector(
+    const embedding::EmbeddingStore& words, const text::Vocabulary* vocab,
+    data::RowView a, data::RowView b) {
+  embedding::Composition method = embedding::Composition::kAverage;
+  embedding::SifWeights sif;
+  if (vocab != nullptr) {
+    method = embedding::Composition::kSifWeighted;
+    sif.vocabulary = vocab;
+    sif.trigram_fallback_below = 5;
+  }
+  auto embed = [&](const data::Value& v) {
+    return embedding::EmbedTokens(words, text::Tokenize(v.ToString()),
+                                  method, sif);
+  };
+  std::vector<float> f;
+  for (size_t c = 0; c < a.size(); ++c) {
+    const data::Value va = a[c];
+    const data::Value vb = b[c];
+    if (va.is_null() || vb.is_null()) {
+      f.insert(f.end(), {1.0f, 0.0f, 0.0f});
+      continue;
+    }
+    f.push_back(0.0f);
+    bool a_num = false, b_num = false;
+    double x = va.ToNumeric(&a_num);
+    double y = vb.ToNumeric(&b_num);
+    if (a_num && b_num) {
+      double scale = std::max({std::fabs(x), std::fabs(y), 1e-9});
+      f.push_back(static_cast<float>(1.0 - std::fabs(x - y) / scale));
+      f.push_back(x == y ? 1.0f : 0.0f);
+      continue;
+    }
+    std::vector<float> ea = embed(va);
+    std::vector<float> eb = embed(vb);
+    f.push_back(static_cast<float>(text::CosineSimilarity(ea, eb)));
+    f.push_back(static_cast<float>(text::EuclideanDistance(ea, eb)));
+  }
+  f.push_back(static_cast<float>(
+      text::CosineSimilarity(embedding::EmbedTuple(words, a, method, sif),
+                             embedding::EmbedTuple(words, b, method, sif))));
+  return f;
+}
+
+TEST_F(DeepErPipelineTest, CachedFeaturesEqualPerPairFeatures) {
+  // Nulls, numeric cells (typed and as text), numeric-vs-text cells,
+  // out-of-vocabulary and typo tokens, next to generated product rows.
+  data::Table mixed(data::Schema({{"title", data::ValueType::kString},
+                                  {"price", data::ValueType::kString},
+                                  {"weight", data::ValueType::kDouble}}),
+                    "mixed");
+  const std::vector<data::Row> rows = {
+      {data::Value(bench_->left.row(0).Text(0)), data::Value("12.50"),
+       data::Value(1.5)},
+      {data::Value(bench_->left.row(0).Text(0) + " zzqxv"),
+       data::Value("12.5"), data::Value::Null()},
+      {data::Value("qwrtzpx vlkmnb"), data::Value("about twelve"),
+       data::Value(1.5)},
+      {data::Value::Null(), data::Value("0"), data::Value(-3.0)},
+      {data::Value("wirless headphnes"), data::Value::Null(),
+       data::Value(0.0)},
+  };
+  for (const data::Row& r : rows) ASSERT_TRUE(mixed.AppendRow(r).ok());
+
+  text::Vocabulary vocab;
+  for (const data::Table* t : {&mixed, &bench_->left}) {
+    for (size_t r = 0; r < t->num_rows(); ++r) {
+      for (size_t c = 0; c < t->num_columns(); ++c) {
+        const data::Value v = t->at(r, c);
+        if (!v.is_null()) vocab.AddAll(text::Tokenize(v.ToString()));
+      }
+    }
+  }
+  for (bool fitted : {false, true}) {
+    DeepEr model(words_, DeepErConfig{});
+    if (fitted) model.FitWeights({&mixed, &bench_->left});
+    for (const data::Table* t : {&mixed, &bench_->left}) {
+      RowCache cache = model.EmbedRows(*t);
+      ASSERT_EQ(cache.num_rows(), t->num_rows());
+      size_t n = std::min<size_t>(t->num_rows(), 40);
+      std::vector<float> cached;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          std::vector<float> expect = PerPairSimilarityVector(
+              *words_, fitted ? &vocab : nullptr, t->row(i), t->row(j));
+          CachedSimilarityVector(cache, i, cache, j, &cached);
+          std::vector<float> wrapped =
+              model.SimilarityVector(t->row(i), t->row(j));
+          ASSERT_EQ(cached.size(), expect.size());
+          ASSERT_EQ(wrapped.size(), expect.size());
+          for (size_t k = 0; k < expect.size(); ++k) {
+            EXPECT_EQ(cached[k], expect[k])
+                << t->name() << " rows " << i << "," << j << " feature " << k
+                << " fitted=" << fitted;
+            EXPECT_EQ(wrapped[k], expect[k]);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(DeepErPipelineTest, BatchedMatchEqualsPerPairLoopAtAnyThreadCount) {
+  Rng rng(16);
+  auto train = SampleTrainingPairs(bench_->left.num_rows(),
+                                   bench_->right.num_rows(), bench_->matches,
+                                   4, &rng);
+  DeepErConfig cfg;
+  cfg.epochs = 10;
+  cfg.learning_rate = 1e-2f;
+  DeepEr model(words_, cfg);
+  model.FitWeights({&bench_->left, &bench_->right});
+  model.Train(bench_->left, bench_->right, train);
+
+  // Every fifth pair: thousands of candidates, so blocks and worker
+  // ranges end at many different places.
+  std::vector<RowPair> cands;
+  std::vector<RowPair> all = AllPairs(*bench_);
+  for (size_t i = 0; i < all.size(); i += 5) cands.push_back(all[i]);
+  const size_t restore = NumThreads();
+  for (double threshold : {0.5, 0.9}) {
+    std::vector<RowPair> expect;
+    for (const RowPair& p : cands) {
+      if (model.PredictProba(bench_->left.row(p.first),
+                             bench_->right.row(p.second)) >= threshold) {
+        expect.push_back(p);
+      }
+    }
+    ASSERT_FALSE(expect.empty());
+    ASSERT_LT(expect.size(), cands.size());
+    for (size_t threads : {1, 2, 4}) {
+      SetNumThreads(threads);
+      EXPECT_EQ(model.Match(bench_->left, bench_->right, cands, threshold),
+                expect)
+          << "threads=" << threads << " threshold=" << threshold;
+      RowCache left = model.EmbedRows(bench_->left);
+      RowCache right = model.EmbedRows(bench_->right);
+      EXPECT_EQ(model.Match(left, right, cands, threshold), expect)
+          << "threads=" << threads << " threshold=" << threshold;
+    }
+  }
+  SetNumThreads(restore);
+}
 
 TEST_F(DeepErPipelineTest, AverageCompositionBeatsThresholdBaseline) {
   Rng rng(11);

@@ -66,6 +66,18 @@ TEST(JaccardTest, TokenAndTrigram) {
   EXPECT_LT(TrigramJaccard("apple", "zebra"), 0.2);
 }
 
+TEST(JaccardTest, TokenSetsCountEachTokenOnce) {
+  TokenSet a = MakeTokenSet({"red", "apple", "red", "pie"});
+  TokenSet b = MakeTokenSet({"pie", "apple", "apple"});
+  EXPECT_EQ(a, (TokenSet{"apple", "pie", "red"}));
+  EXPECT_EQ(b, (TokenSet{"apple", "pie"}));
+  EXPECT_DOUBLE_EQ(SetJaccard(a, b), 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(SetJaccard(a, b),
+                   TokenJaccard("red apple red pie", "pie apple apple"));
+  EXPECT_DOUBLE_EQ(SetJaccard({}, {}), 1.0);
+  EXPECT_DOUBLE_EQ(SetJaccard(a, {}), 0.0);
+}
+
 TEST(MongeElkanTest, HandlesWordReorderAndTypos) {
   // Reordered multiword names should stay highly similar.
   EXPECT_GT(MongeElkan("john smith", "smith john"), 0.9);
